@@ -19,7 +19,8 @@ race:
 	$(GO) test -race ./...
 
 # Tier-1 gate: everything builds and vets clean, the analysis-engine and
-# stats worker pools pass under the race detector, the full suite
+# stats worker pools and the state fork-journal pool the slot engine's
+# workers share pass under the race detector, the full suite
 # (including the golden parallel-vs-sequential byte-identity test) passes,
 # and the chaos suite proves the pipeline is crash-safe.
 check:
@@ -28,7 +29,7 @@ check:
 	$(MAKE) docs-lint
 	$(MAKE) staticcheck
 	$(MAKE) govulncheck
-	$(GO) test -race ./internal/core/... ./internal/stats/...
+	$(GO) test -race ./internal/core/... ./internal/stats/... ./internal/state/... ./internal/searcher/...
 	$(GO) test ./...
 	$(MAKE) chaos
 	$(MAKE) chaos-fleet

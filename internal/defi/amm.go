@@ -65,11 +65,19 @@ func (p *Pair) tokens(tokenIn types.Address) (in, out *Token, ok bool) {
 // produce at current reserves, with the fee applied. ok is false for an
 // unknown token or empty pool.
 func (p *Pair) QuoteOut(st *state.State, tokenIn types.Address, amountIn u256.Int) (u256.Int, bool) {
+	r0, r1 := p.Reserves(st)
+	return p.QuoteOutAt(r0, r1, tokenIn, amountIn)
+}
+
+// QuoteOutAt is QuoteOut priced at the given reserves instead of the
+// pool's state: searchers read the reserves once and run whole what-if
+// searches as pure arithmetic.
+func (p *Pair) QuoteOutAt(r0, r1 u256.Int, tokenIn types.Address, amountIn u256.Int) (u256.Int, bool) {
 	in, _, ok := p.tokens(tokenIn)
 	if !ok || amountIn.IsZero() {
 		return u256.Zero, false
 	}
-	rIn, rOut := p.Reserves(st)
+	rIn, rOut := r0, r1
 	if in == p.Token1 {
 		rIn, rOut = rOut, rIn
 	}
@@ -151,17 +159,24 @@ func (p *Pair) Call(env *evm.Env, from types.Address, value types.Wei, call evm.
 	return nil
 }
 
-// ShiftReserves applies a swap's reserve movement without token transfers
-// or logs. Searchers use it for fast what-if pricing on state snapshots.
+// ShiftReserves applies a swap's reserve movement to the pool's state
+// without token transfers or logs.
 func (p *Pair) ShiftReserves(st *state.State, tokenIn types.Address, in, out u256.Int) {
 	r0, r1 := p.Reserves(st)
+	r0, r1 = p.ShiftedReserves(r0, r1, tokenIn, in, out)
+	st.Set(p.Addr, slotReserve0, r0)
+	st.Set(p.Addr, slotReserve1, r1)
+}
+
+// ShiftedReserves is ShiftReserves as pure arithmetic: the reserves
+// (r0, r1) after a swap of in tokenIn for out of the counter token.
+// Searchers chain it with QuoteOutAt to price front-runs without touching
+// state.
+func (p *Pair) ShiftedReserves(r0, r1 u256.Int, tokenIn types.Address, in, out u256.Int) (u256.Int, u256.Int) {
 	if tokenIn == p.Token0.Addr {
-		st.Set(p.Addr, slotReserve0, r0.Add(in))
-		st.Set(p.Addr, slotReserve1, r1.Sub(out))
-	} else {
-		st.Set(p.Addr, slotReserve1, r1.Add(in))
-		st.Set(p.Addr, slotReserve0, r0.Sub(out))
+		return r0.Add(in), r1.Sub(out)
 	}
+	return r0.Sub(out), r1.Add(in)
 }
 
 // SwapCalldata builds the calldata for a swap on this pair.

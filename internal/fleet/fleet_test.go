@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -829,6 +830,55 @@ func TestFleetQuarantine(t *testing.T) {
 	for _, s := range corpus.Cells {
 		if s.Cell.ID == poison {
 			t.Error("quarantined cell's data leaked into the merged corpus")
+		}
+	}
+}
+
+// TestFleetUndefinedMetricsComplete runs a one-cell grid whose two days
+// see no relay-delivered block, so the relay and builder HHI, censoring
+// and private-flow shares have no samples. The cell must complete with
+// those metrics listed as undefined (0 in JSON, empty in the CSV) instead
+// of failing to encode NaN and being quarantined.
+func TestFleetUndefinedMetricsComplete(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess fleet run")
+	}
+	g, err := ParseGrid([]byte(`{"name":"nan-summary","seeds":[954734],"days":2,"blocks_per_day":12,"users":120,"validators":150,"small_builders":[40]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := testOpts(t)
+	opts.Workers = 1
+	sum := runFleet(t, t.TempDir(), g, opts, false)
+	if sum.Completed != 1 || len(sum.Quarantined) != 0 {
+		t.Fatalf("%d/%d completed, quarantined %+v", sum.Completed, sum.Cells, sum.Quarantined)
+	}
+	var corpus FleetCorpus
+	data, err := os.ReadFile(filepath.Join(sum.MergedDir, FleetFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, &corpus); err != nil {
+		t.Fatal(err)
+	}
+	m := corpus.Cells[0].Metrics
+	want := []string{"relay_hhi", "builder_hhi", "censoring_share", "private_share_pbs"}
+	if !slices.Equal(m.Undefined, want) {
+		t.Errorf("undefined metrics %q, want %q", m.Undefined, want)
+	}
+	if m.RelayHHI != 0 || m.BuilderHHI != 0 || m.CensoringShare != 0 || m.PrivateSharePBS != 0 {
+		t.Errorf("undefined metrics must read 0: %+v", m)
+	}
+	csv, err := os.ReadFile(filepath.Join(sum.MergedDir, FleetCSVName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := strings.Split(strings.Split(strings.TrimSpace(string(csv)), "\n")[1], ",")
+	// Columns 10-13 are relay_hhi, builder_hhi, censoring_share and
+	// private_share_pbs; pbs_share (9) and delivered_share (14) stay set.
+	for i, col := range row[9:] {
+		if empty := (i >= 1 && i <= 4); (col == "") != empty {
+			t.Errorf("CSV column %d = %q, want empty=%t (row %q)", 9+i, col, empty, row)
 		}
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 
@@ -145,17 +146,26 @@ func WriteCorpus(dir string, corpus *FleetCorpus, extra ...report.Artifact) erro
 }
 
 // corpusCSV renders the flat comparison table: one row per completed cell.
+// An undefined metric leaves its cell empty.
 func corpusCSV(corpus *FleetCorpus) []byte {
 	var buf bytes.Buffer
 	fmt.Fprintln(&buf, "cell,seed,days,private_flow,small_builders,ofac_lag,relay_outages,epbs,blocks,pbs_share,relay_hhi,builder_hhi,censoring_share,private_share_pbs,delivered_share,epbs_delivered_share")
 	for _, s := range corpus.Cells {
-		c := s.Cell
-		fmt.Fprintf(&buf, "%s,%d,%d,%v,%d,%s,%s,%t,%d,%.6f,%.6f,%.6f,%.6f,%.6f,%.6f,%.6f\n",
+		c, m := s.Cell, &s.Metrics
+		metric := func(name string, v float64) string {
+			if slices.Contains(m.Undefined, name) {
+				return ""
+			}
+			return fmt.Sprintf("%.6f", v)
+		}
+		fmt.Fprintf(&buf, "%s,%d,%d,%v,%d,%s,%s,%t,%d,%s,%s,%s,%s,%s,%s,%s\n",
 			c.ID, c.Seed, s.Days, c.PrivateFlow, c.SmallBuilders,
 			csvQuote(c.OFACLag), csvQuote(c.RelayOutages), c.EPBS, s.Blocks,
-			s.Metrics.PBSShare, s.Metrics.RelayHHI, s.Metrics.BuilderHHI,
-			s.Metrics.CensoringShare, s.Metrics.PrivateSharePBS,
-			s.Metrics.DeliveredShare, s.Metrics.EPBSDeliveredShare)
+			metric("pbs_share", m.PBSShare), metric("relay_hhi", m.RelayHHI),
+			metric("builder_hhi", m.BuilderHHI), metric("censoring_share", m.CensoringShare),
+			metric("private_share_pbs", m.PrivateSharePBS),
+			metric("delivered_share", m.DeliveredShare),
+			metric("epbs_delivered_share", m.EPBSDeliveredShare))
 	}
 	return buf.Bytes()
 }

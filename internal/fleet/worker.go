@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -70,6 +71,10 @@ type CellSummary struct {
 		PrivateSharePBS    float64 `json:"private_share_pbs"`
 		DeliveredShare     float64 `json:"delivered_share"`
 		EPBSDeliveredShare float64 `json:"epbs_delivered_share,omitempty"`
+		// Undefined names, by JSON key, the metrics the cell's window
+		// cannot define (no relay-delivered block leaves relay HHI
+		// without a sample). They read 0 here and stay empty in the CSV.
+		Undefined []string `json:"undefined,omitempty"`
 	} `json:"metrics"`
 }
 
@@ -230,21 +235,31 @@ func RunWorker(ctx context.Context, spec WorkerSpec, hb io.Writer) error {
 	return nil
 }
 
-// summarize computes the cell's comparison metrics from the analysis.
+// summarize computes the cell's comparison metrics from the analysis. A
+// metric that is not a number (a mean over no samples) is recorded as 0
+// and listed in Metrics.Undefined, since JSON cannot carry NaN.
 func summarize(cell Cell, a *core.Analysis) *CellSummary {
 	s := &CellSummary{Cell: cell}
 	s.Blocks = len(a.Dataset().Blocks)
 	_, s.Days = a.Window()
-	s.Metrics.PBSShare = a.Figure4PBSShare().MeanValue()
+	m := &s.Metrics
+	defined := func(name string, v float64) float64 {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			m.Undefined = append(m.Undefined, name)
+			return 0
+		}
+		return v
+	}
+	m.PBSShare = defined("pbs_share", a.Figure4PBSShare().MeanValue())
 	hhi := a.Figure6HHI()
-	s.Metrics.RelayHHI = hhi.Relays.MeanValue()
-	s.Metrics.BuilderHHI = hhi.Builders.MeanValue()
-	s.Metrics.CensoringShare = a.Figure17CensoringShare().MeanValue()
-	s.Metrics.PrivateSharePBS = a.Figure14PrivateTxShare().PBS.MeanValue()
+	m.RelayHHI = defined("relay_hhi", hhi.Relays.MeanValue())
+	m.BuilderHHI = defined("builder_hhi", hhi.Builders.MeanValue())
+	m.CensoringShare = defined("censoring_share", a.Figure17CensoringShare().MeanValue())
+	m.PrivateSharePBS = defined("private_share_pbs", a.Figure14PrivateTxShare().PBS.MeanValue())
 	_, total := a.Table4RelayTrust()
-	s.Metrics.DeliveredShare = total.ShareDelivered
+	m.DeliveredShare = defined("delivered_share", total.ShareDelivered)
 	if cell.EPBS {
-		s.Metrics.EPBSDeliveredShare = epbsReplay(a)
+		m.EPBSDeliveredShare = defined("epbs_delivered_share", epbsReplay(a))
 	}
 	return s
 }

@@ -20,8 +20,10 @@ import (
 // Context is the view a searcher gets when hunting for opportunities in the
 // upcoming block.
 type Context struct {
-	// State is a scratch copy of the head state. Searchers may simulate on
-	// it using snapshots but must revert everything they apply.
+	// State is a view of the head state: a copy-on-write fork on the
+	// parallel slot engine's path, a deep copy on the sequential one.
+	// Searchers may simulate on it using snapshots but must revert
+	// everything they apply.
 	State *state.State
 	// Engine executes speculative transactions.
 	Engine *evm.Engine
@@ -33,6 +35,11 @@ type Context struct {
 	BlockCtx evm.BlockContext
 	// Pending is the searcher's view of the public mempool (the victims).
 	Pending []*types.Transaction
+
+	// cycles memoises arbitrage searches for the context's lifetime (one
+	// slot): every arbitrageur quoting the same cycle at the same reserves
+	// and cap shares one search.
+	cycles map[cycleKey]cycleQuote
 }
 
 // Searcher is one MEV bot.
@@ -112,13 +119,32 @@ func (a *Arbitrageur) Name() string { return a.name }
 // Address implements Searcher.
 func (a *Arbitrageur) Address() types.Address { return a.addr }
 
-// cycleProfit quotes the round trip t0 -> t1 on buy, t1 -> t0 on sell.
-func cycleProfit(st *state.State, buy, sell *defi.Pair, amountIn u256.Int) u256.Int {
-	mid, ok := buy.QuoteOut(st, buy.Token0.Addr, amountIn)
+// cycle is a two-pool round trip priced at fixed reserves: t0 -> t1 on
+// buy, t1 -> t0 on sell.
+type cycle struct {
+	buy, sell *defi.Pair
+	// reserves holds buy's (r0, r1) then sell's (r0, r1).
+	reserves [4]u256.Int
+}
+
+// cycleKey identifies one search: reserves, fees and the input cap fully
+// determine its result, whichever pools or bot ask.
+type cycleKey struct {
+	reserves [4]u256.Int
+	fees     [2]uint64
+	cap      u256.Int
+}
+
+// cycleQuote is a memoised search result.
+type cycleQuote struct{ input, profit u256.Int }
+
+// profit quotes the round trip for amountIn.
+func (c *cycle) profit(amountIn u256.Int) u256.Int {
+	mid, ok := c.buy.QuoteOutAt(c.reserves[0], c.reserves[1], c.buy.Token0.Addr, amountIn)
 	if !ok || mid.IsZero() {
 		return u256.Zero
 	}
-	out, ok := sell.QuoteOut(st, sell.Token1.Addr, mid)
+	out, ok := c.sell.QuoteOutAt(c.reserves[2], c.reserves[3], c.sell.Token1.Addr, mid)
 	if !ok {
 		return u256.Zero
 	}
@@ -127,19 +153,34 @@ func cycleProfit(st *state.State, buy, sell *defi.Pair, amountIn u256.Int) u256.
 
 // bestInput ternary-searches the profit-maximizing cycle input. Profit is
 // unimodal in the input for constant-product pools.
-func bestInput(st *state.State, buy, sell *defi.Pair, cap u256.Int) (u256.Int, u256.Int) {
+func (c *cycle) bestInput(cap u256.Int) (u256.Int, u256.Int) {
 	lo, hi := u256.Zero, cap
 	for i := 0; i < 60 && hi.Gt(lo); i++ {
 		third := hi.Sub(lo).Div64(3)
 		m1 := lo.Add(third)
 		m2 := hi.Sub(third)
-		if cycleProfit(st, buy, sell, m1).Cmp(cycleProfit(st, buy, sell, m2)) < 0 {
+		if c.profit(m1).Cmp(c.profit(m2)) < 0 {
 			lo = m1.Add(u256.One)
 		} else {
 			hi = m2.Sub(u256.One)
 		}
 	}
-	return lo, cycleProfit(st, buy, sell, lo)
+	return lo, c.profit(lo)
+}
+
+// bestInput returns the cycle's search result, searching only on the
+// context's first ask for these reserves, fees and cap.
+func (ctx *Context) bestInput(c *cycle, cap u256.Int) (u256.Int, u256.Int) {
+	k := cycleKey{reserves: c.reserves, fees: [2]uint64{c.buy.FeeBps, c.sell.FeeBps}, cap: cap}
+	if q, ok := ctx.cycles[k]; ok {
+		return q.input, q.profit
+	}
+	input, profit := c.bestInput(cap)
+	if ctx.cycles == nil {
+		ctx.cycles = map[cycleKey]cycleQuote{}
+	}
+	ctx.cycles[k] = cycleQuote{input, profit}
+	return input, profit
 }
 
 // FindBundles implements Searcher.
@@ -163,7 +204,10 @@ func (a *Arbitrageur) FindBundles(ctx *Context) []*types.Bundle {
 			if cap.IsZero() {
 				continue
 			}
-			input, profit := bestInput(ctx.State, buy, sell, cap)
+			c := cycle{buy: buy, sell: sell}
+			c.reserves[0], c.reserves[1] = buy.Reserves(ctx.State)
+			c.reserves[2], c.reserves[3] = sell.Reserves(ctx.State)
+			input, profit := ctx.bestInput(&c, cap)
 			if profit.Lt(a.MinProfit) || input.IsZero() {
 				continue
 			}
@@ -222,22 +266,30 @@ func (s *Sandwicher) Name() string { return s.name }
 func (s *Sandwicher) Address() types.Address { return s.addr }
 
 // victimQuoteAfterFront computes what the victim would receive if the
-// attacker front-runs with frontIn first. Simulated on a snapshot.
-func (s *Sandwicher) victimQuoteAfterFront(ctx *Context, pool *defi.Pair, tokenIn types.Address, frontIn, victimIn u256.Int) u256.Int {
-	snap := ctx.State.Snapshot()
-	defer ctx.State.RevertTo(snap)
-	// Apply the front-run directly to the reserves via a quote-and-shift:
-	// cheaper than a full tx and equivalent for reserve math.
-	out, ok := pool.QuoteOut(ctx.State, tokenIn, frontIn)
+// attacker front-runs with frontIn first, priced from the pool's reserves
+// (r0, r1) without touching state.
+func victimQuoteAfterFront(pool *defi.Pair, r0, r1 u256.Int, tokenIn types.Address, frontIn, victimIn u256.Int) u256.Int {
+	out, ok := pool.QuoteOutAt(r0, r1, tokenIn, frontIn)
 	if !ok {
 		return u256.Zero
 	}
-	pool.ShiftReserves(ctx.State, tokenIn, frontIn, out)
-	victimOut, ok := pool.QuoteOut(ctx.State, tokenIn, victimIn)
+	r0, r1 = pool.ShiftedReserves(r0, r1, tokenIn, frontIn, out)
+	victimOut, ok := pool.QuoteOutAt(r0, r1, tokenIn, victimIn)
 	if !ok {
 		return u256.Zero
 	}
 	return victimOut
+}
+
+// sandwichOutcome prices the whole attack from the reserves (r0, r1): the
+// front-run's output, then the back-run's output after the victim's swap.
+func sandwichOutcome(pool *defi.Pair, r0, r1 u256.Int, tokenIn types.Address, frontIn, victimIn u256.Int) (frontOut, backOut u256.Int) {
+	frontOut, _ = pool.QuoteOutAt(r0, r1, tokenIn, frontIn)
+	r0, r1 = pool.ShiftedReserves(r0, r1, tokenIn, frontIn, frontOut)
+	victimOut, _ := pool.QuoteOutAt(r0, r1, tokenIn, victimIn)
+	r0, r1 = pool.ShiftedReserves(r0, r1, tokenIn, victimIn, victimOut)
+	backOut, _ = pool.QuoteOutAt(r0, r1, otherOf(pool, tokenIn), frontOut)
+	return frontOut, backOut
 }
 
 // FindBundles implements Searcher.
@@ -254,7 +306,8 @@ func (s *Sandwicher) FindBundles(ctx *Context) []*types.Bundle {
 		}
 		victimIn, minOut := call.Amount, call.Amount2
 		tokenIn := call.Addr
-		quote, okQ := pool.QuoteOut(ctx.State, tokenIn, victimIn)
+		r0, r1 := pool.Reserves(ctx.State)
+		quote, okQ := pool.QuoteOutAt(r0, r1, tokenIn, victimIn)
 		if !okQ || !quote.Gt(minOut) || minOut.IsZero() {
 			continue // no slippage room (or no protection to exploit)
 		}
@@ -271,7 +324,7 @@ func (s *Sandwicher) FindBundles(ctx *Context) []*types.Bundle {
 		lo, hi := u256.Zero, cap
 		for i := 0; i < 50 && hi.Gt(lo); i++ {
 			mid := lo.Add(hi.Sub(lo).Div64(2)).Add(u256.One)
-			if s.victimQuoteAfterFront(ctx, pool, tokenIn, mid, victimIn).Cmp(minOut) >= 0 {
+			if victimQuoteAfterFront(pool, r0, r1, tokenIn, mid, victimIn).Cmp(minOut) >= 0 {
 				lo = mid
 			} else {
 				hi = mid.Sub(u256.One)
@@ -282,16 +335,10 @@ func (s *Sandwicher) FindBundles(ctx *Context) []*types.Bundle {
 			continue
 		}
 
-		// Expected profit: simulate front + victim reserve shifts, then
-		// quote the back-run.
-		snap := ctx.State.Snapshot()
-		frontOut, _ := pool.QuoteOut(ctx.State, tokenIn, frontIn)
-		pool.ShiftReserves(ctx.State, tokenIn, frontIn, frontOut)
-		victimOut, _ := pool.QuoteOut(ctx.State, tokenIn, victimIn)
-		pool.ShiftReserves(ctx.State, tokenIn, victimIn, victimOut)
+		// Expected profit: shift the reserves by the front-run and the
+		// victim, then quote the back-run.
+		frontOut, backOut := sandwichOutcome(pool, r0, r1, tokenIn, frontIn, victimIn)
 		otherToken := otherOf(pool, tokenIn)
-		backOut, _ := pool.QuoteOut(ctx.State, otherToken, frontOut)
-		ctx.State.RevertTo(snap)
 
 		// Profit is denominated in the input token; bids are paid in ETH, so
 		// token1-side profits convert through the pool's spot price.

@@ -32,6 +32,7 @@ import (
 	"github.com/ethpbs/pbslab/internal/pbs"
 	"github.com/ethpbs/pbslab/internal/rng"
 	"github.com/ethpbs/pbslab/internal/searcher"
+	"github.com/ethpbs/pbslab/internal/state"
 	"github.com/ethpbs/pbslab/internal/stats"
 	"github.com/ethpbs/pbslab/internal/types"
 )
@@ -327,6 +328,31 @@ func (eng *slotEngine) accept(block *types.Block, local cachedValidation) (*chai
 		return eng.w.Chain.AcceptValidated(block, hit.res, hit.st)
 	}
 	return eng.w.Chain.Accept(block)
+}
+
+// release hands every state fork of the slot round back to the journal
+// pool once the winner is committed: the phase-B builds, the phase-C and
+// lazy-miss validations (the absorbed winner among them), and the extra
+// forks the caller passes (the searcher context and the local build). All
+// of them read through to the pre-commit state, so none is used again.
+func (eng *slotEngine) release(extra ...*state.State) {
+	for _, t := range eng.tasks[:eng.used] {
+		if t.args.State != nil {
+			t.args.State.Release()
+			t.args.State = nil
+		}
+	}
+	for _, hit := range eng.view.cache {
+		if hit.st != nil {
+			hit.st.Release()
+		}
+	}
+	clear(eng.valRes)
+	for _, st := range extra {
+		if st != nil {
+			st.Release()
+		}
+	}
 }
 
 // wouldValidate predicts whether at least one relay's SubmitBlock would

@@ -415,6 +415,9 @@ func RunOpts(ctx context.Context, sc Scenario, opts RunOptions) (*Result, error)
 			return nil, fmt.Errorf("sim: slot %d: accept: %w", rs.slot, err)
 		}
 		w.Chain.State().ClearJournal()
+		if eng != nil {
+			eng.release(sctx.State, localArt.st)
+		}
 		w.Ledger.RecordProposal(proposer)
 
 		// 5. Post-block housekeeping.

@@ -11,6 +11,7 @@ package state
 
 import (
 	"fmt"
+	"sync"
 
 	"github.com/ethpbs/pbslab/internal/types"
 	"github.com/ethpbs/pbslab/internal/u256"
@@ -184,13 +185,44 @@ func (s *State) AbsorbFork(f *State) error {
 // parallel slot engine hands each speculative execution (builder blocks,
 // relay validations, searcher probes) its own fork of the canonical state;
 // s must stay unmutated while the fork is alive, which also makes several
-// forks of one base safe to use from different goroutines.
+// forks of one base safe to use from different goroutines. The fork's undo
+// journal reuses an array a Released fork gave back, when one is pooled.
 func (s *State) Fork() *State {
-	return &State{
+	f := &State{
 		balances: map[types.Address]types.Wei{},
 		nonces:   map[types.Address]uint64{},
 		storage:  map[Slot]u256.Int{},
 		base:     s,
+	}
+	if j, ok := journalPool.Get().(*[]undo); ok {
+		f.journal = *j
+	}
+	return f
+}
+
+// journalPool holds undo-journal arrays of released forks, empty but with
+// their capacity, so a slot round's forks stop regrowing journals from zero.
+var journalPool sync.Pool
+
+// maxPooledJournal caps the capacity (in entries) of a pooled journal. A
+// block's execution journals a few hundred entries (at most about 550 in
+// the calibrated scenarios); an outsized array is left to the collector
+// rather than kept for reuse.
+const maxPooledJournal = 1 << 12
+
+// Release gives a fork's undo-journal array back for a later Fork to reuse.
+// The fork stays readable, but its journal is dropped, so Snapshot/RevertTo
+// history is gone and a stray later write starts a fresh array instead of
+// touching the reused one. Call it once nothing will revert the fork again.
+// Release on a non-fork, or a second time, is a no-op.
+func (s *State) Release() {
+	if s.base == nil || cap(s.journal) == 0 {
+		return
+	}
+	j := s.journal[:0]
+	s.journal = nil
+	if cap(j) <= maxPooledJournal {
+		journalPool.Put(&j)
 	}
 }
 

@@ -1,13 +1,10 @@
 package sim
 
 import (
-	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"testing"
-
-	"github.com/ethpbs/pbslab/internal/core"
-	"github.com/ethpbs/pbslab/internal/report"
 )
 
 // runWorkers runs the scenario with a fixed slot-engine worker count.
@@ -20,79 +17,87 @@ func runWorkers(t *testing.T, sc Scenario, workers int) *Result {
 	return res
 }
 
-// TestRunWorkersGolden proves the tentpole invariant: the parallel slot
-// engine produces byte-identical datasets and ground truth to the
-// sequential legacy path at every worker count, across seeds.
+// TestRunWorkersGolden pins the slot engine's output at every pool width:
+// the dataset and ground truth at workers 1, 2 and 8 equal the committed
+// digests, across seeds.
 func TestRunWorkersGolden(t *testing.T) {
+	pinned := loadDigests(t)
 	for _, seed := range []uint64{1, 2, 3} {
-		sc := shortScenario(3)
-		sc.Seed = seed
-		baseline := runWorkers(t, sc, 1)
-		for _, workers := range []int{2, 8} {
-			sameResult(t, baseline, runWorkers(t, sc, workers))
+		c := shortCase(3, seed)
+		for _, workers := range []int{1, 2, 8} {
+			checkDigest(t, pinned, c.name, fmt.Sprintf("workers %d", workers), runWorkers(t, c.sc, workers), false)
 		}
 	}
 }
 
-// TestRunWorkersGoldenArtifacts extends the equivalence to the rendered
-// artifact bytes: every report emitted from a parallel-engine run must be
-// byte-for-byte the file the legacy path emits.
+// TestRunWorkersGoldenArtifacts extends the pin to the rendered artifact
+// bytes: every report emitted at workers 1, 2 and 8 hashes to the
+// committed digest.
 func TestRunWorkersGoldenArtifacts(t *testing.T) {
-	render := func(res *Result) []report.Artifact {
-		a, err := core.NewWithContext(context.Background(), res.Dataset,
-			core.WithBuilderLabels(res.World.BuilderLabels()))
-		if err != nil {
-			t.Fatalf("analysis: %v", err)
-		}
-		return report.RenderAll(a, 1)
-	}
-	sc := shortScenario(3)
-	sc.Seed = 1
-	want := render(runWorkers(t, sc, 1))
-	got := render(runWorkers(t, sc, 8))
-	if len(want) != len(got) {
-		t.Fatalf("artifact count: %d vs %d", len(got), len(want))
-	}
-	for i := range want {
-		if want[i].Name != got[i].Name {
-			t.Fatalf("artifact %d name: %s vs %s", i, got[i].Name, want[i].Name)
-		}
-		if !bytes.Equal(want[i].Data, got[i].Data) {
-			t.Errorf("artifact %s differs between worker counts", want[i].Name)
+	pinned := loadDigests(t)
+	for _, seed := range []uint64{1, 2, 3} {
+		c := shortCase(3, seed)
+		for _, workers := range []int{1, 2, 8} {
+			checkDigest(t, pinned, c.name, fmt.Sprintf("workers %d", workers), runWorkers(t, c.sc, workers), true)
 		}
 	}
 }
 
-// TestParallelKillAndResumeGolden is the kill-and-resume golden on the
-// parallel path: a run interrupted at a day boundary and resumed — all with
-// the parallel engine — must match an uninterrupted sequential run.
-func TestParallelKillAndResumeGolden(t *testing.T) {
-	sc := shortScenario(4)
-	sc.Seed = 2
-	baseline := runWorkers(t, sc, 1)
+// TestRunWorkersGoldenWindows pins two windows the merge-day cases never
+// reach: October's exploit tasks, and November's OFAC wave, commit
+// fallbacks and relay outage. It also checks that each window still
+// exercises what it was chosen for.
+func TestRunWorkersGoldenWindows(t *testing.T) {
+	pinned := loadDigests(t)
+	oct := windowCase(d(2022, 10, 7), d(2022, 10, 17), 1)
+	nov := windowCase(d(2022, 11, 7), d(2022, 11, 20), 1)
+	for _, workers := range []int{1, 8} {
+		run := fmt.Sprintf("workers %d", workers)
+		res := runWorkers(t, oct.sc, workers)
+		if n := exploitWins(res); n == 0 {
+			t.Errorf("%s (%s): no exploiter block landed", oct.name, run)
+		}
+		checkDigest(t, pinned, oct.name, run, res, true)
 
-	dir := t.TempDir()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	_, err := RunOpts(ctx, sc, RunOptions{
-		Workers:       4,
-		CheckpointDir: dir,
-		OnDay: func(day int) {
-			if day == 2 {
-				cancel()
-			}
-		},
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("interrupted run: want context.Canceled, got %v", err)
+		res = runWorkers(t, nov.sc, workers)
+		if res.Truth.FallbackCommit == 0 || res.Truth.Boost.OutageSkips == 0 {
+			t.Errorf("%s (%s): commit fallbacks %d, outage skips %d; want both > 0",
+				nov.name, run, res.Truth.FallbackCommit, res.Truth.Boost.OutageSkips)
+		}
+		checkDigest(t, pinned, nov.name, run, res, true)
 	}
-	resumed, err := RunOpts(context.Background(), sc, RunOptions{
-		Workers:       4,
-		CheckpointDir: dir,
-		Resume:        true,
-	})
-	if err != nil {
-		t.Fatalf("resumed run: %v", err)
+}
+
+// TestParallelKillAndResumeGolden is the kill-and-resume golden: a run
+// interrupted at a day boundary and resumed equals the committed digest,
+// on one engine worker (the fleet's width) and on four.
+func TestParallelKillAndResumeGolden(t *testing.T) {
+	pinned := loadDigests(t)
+	c := shortCase(4, 2)
+	for _, workers := range []int{1, 4} {
+		dir := t.TempDir()
+		ctx, cancel := context.WithCancel(context.Background())
+		_, err := RunOpts(ctx, c.sc, RunOptions{
+			Workers:       workers,
+			CheckpointDir: dir,
+			OnDay: func(day int) {
+				if day == 2 {
+					cancel()
+				}
+			},
+		})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers %d: interrupted run: want context.Canceled, got %v", workers, err)
+		}
+		resumed, err := RunOpts(context.Background(), c.sc, RunOptions{
+			Workers:       workers,
+			CheckpointDir: dir,
+			Resume:        true,
+		})
+		if err != nil {
+			t.Fatalf("workers %d: resumed run: %v", workers, err)
+		}
+		checkDigest(t, pinned, c.name, fmt.Sprintf("workers %d, resumed", workers), resumed, true)
 	}
-	sameResult(t, baseline, resumed)
 }

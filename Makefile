@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check docs-lint staticcheck govulncheck chaos chaos-fleet chaos-agent chaos-wan soak crawl bench bench-sim bench-serve bench-serve-sustained bench-fleet bench-scale bench-agent clean
+.PHONY: all build vet test race check gofmt-check docs-lint staticcheck govulncheck chaos chaos-fleet chaos-agent chaos-wan soak crawl bench bench-serve bench-serve-sustained bench-fleet bench-scale bench-agent clean
 
 all: check
 
@@ -18,14 +18,15 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Tier-1 gate: everything builds and vets clean, the analysis-engine and
-# stats worker pools and the state fork-journal pool the slot engine's
-# workers share pass under the race detector, the full suite
-# (including the golden parallel-vs-sequential byte-identity test) passes,
-# and the chaos suite proves the pipeline is crash-safe.
+# Tier-1 gate: everything builds, vets clean and is gofmt-formatted, the
+# analysis-engine and stats worker pools and the state fork-journal pool
+# the slot engine's workers share pass under the race detector, the full
+# suite (including the sim's committed-digest goldens) passes, and the
+# chaos suite proves the pipeline is crash-safe.
 check:
 	$(GO) build ./...
 	$(GO) vet ./...
+	$(MAKE) gofmt-check
 	$(MAKE) docs-lint
 	$(MAKE) staticcheck
 	$(MAKE) govulncheck
@@ -36,6 +37,12 @@ check:
 	$(MAKE) chaos-agent
 	$(MAKE) chaos-wan
 	$(MAKE) soak
+
+# Formatting gate: fails, listing the files, when any tracked .go file is
+# not gofmt-formatted.
+gofmt-check:
+	@out=$$(git ls-files -z '*.go' | xargs -0 -r gofmt -l) || exit 1; \
+	if [ -n "$$out" ]; then echo "gofmt -l reports unformatted files:"; echo "$$out"; exit 1; fi
 
 # Documentation gate: every package must carry a package comment (go/doc
 # is the contract for newcomers; a silent package is a lint failure).
@@ -60,9 +67,9 @@ govulncheck:
 	fi
 
 # Crash-safety suite under the race detector: kill-and-resume goldens
-# (simulation checkpoints and byte-identical artifacts, on both the
-# sequential and parallel slot-engine paths), worker-count byte-identity
-# goldens, corruption injection against the dataset validator and the
+# (simulation checkpoints and byte-identical artifacts at one and several
+# slot-engine workers), the sim's committed-digest goldens at several
+# worker counts, corruption injection against the dataset validator and the
 # manifest verifier, and crawler checkpoint persistence.
 chaos:
 	$(GO) test -race -count=1 \
@@ -139,16 +146,6 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchtime 3x -timeout 1800s . | tee out/bench_pr2.txt
 	$(GO) run ./cmd/benchjson -o $(BENCH_OUT) out/bench_pr2.txt
 	$(MAKE) bench-scale
-
-# DESIGN.md §8 benchmark: the full-window simulation on the sequential path
-# (workers=1) vs the parallel slot engine (workers=4), recorded as
-# derived.sim_speedup in BENCH_pr4.json. Both rows produce byte-identical
-# output (the worker-count goldens in `make chaos` enforce it).
-SIM_BENCH_OUT ?= BENCH_pr4.json
-bench-sim:
-	mkdir -p out
-	$(GO) test -run '^$$' -bench 'SimFullWindow' -benchtime 1x -timeout 3000s . | tee out/bench_pr4.txt
-	$(GO) run ./cmd/benchjson -o $(SIM_BENCH_OUT) out/bench_pr4.txt
 
 # DESIGN.md §9 benchmark: the pbslabd serving plane under synchronized
 # bursts at 1×/4×/16× admission capacity — p50/p99 latency of served

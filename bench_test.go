@@ -16,7 +16,6 @@ package pbslab_test
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"os"
 	"strconv"
@@ -625,42 +624,6 @@ func BenchmarkExtensionInclusionDelay(b *testing.B) {
 	report(b, "regular_mean_s", rep.Regular.Mean)
 	report(b, "sanctioned_mean_s", rep.Sanctioned.Mean)
 	report(b, "ratio", rep.MeanRatio) // > 1: sanctioned txs wait longer
-}
-
-// --- Simulation slot engine (DESIGN.md §8) -------------------------------
-//
-// BenchmarkSimFullWindow runs the whole simulation at bench density through
-// both slot-engine paths: workers=1 is the sequential legacy round
-// (per-slot state deep copies, per-submission blacklist rebuilds, full
-// mempool re-sorts), any other count is the phased engine (copy-on-write
-// forks, precomputed blacklist schedules, the incrementally ordered
-// mempool, pooled slot scratch, and the bounded worker fan-out). The golden
-// tests guarantee both paths emit byte-identical datasets and artifacts;
-// derived.sim_speedup in BENCH_pr4.json is workers=1 ns/op ÷ workers=4
-// ns/op.
-func BenchmarkSimFullWindow(b *testing.B) {
-	sc := sim.DefaultScenario()
-	sc.BlocksPerDay = envInt("PBSLAB_BENCH_BLOCKS_PER_DAY", 6)
-	if days := envInt("PBSLAB_BENCH_DAYS", 0); days > 0 {
-		sc.End = sc.Start.Add(time.Duration(days) * 24 * time.Hour)
-	}
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			blocks := 0
-			for i := 0; i < b.N; i++ {
-				res, err := sim.RunOpts(context.Background(), sc, sim.RunOptions{Workers: workers})
-				if err != nil {
-					b.Fatal(err)
-				}
-				blocks = len(res.Dataset.Blocks)
-			}
-			report(b, "blocks", float64(blocks))
-			if s := b.Elapsed().Seconds(); s > 0 {
-				report(b, "blocks_per_sec", float64(blocks)*float64(b.N)/s)
-			}
-		})
-	}
 }
 
 // --- Engine (DESIGN.md §6: parallel single-pass analysis) ---------------

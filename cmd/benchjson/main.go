@@ -3,7 +3,7 @@
 // It parses the standard benchmark line format — name, iteration count,
 // ns/op, then any custom b.ReportMetric pairs — plus the goos/goarch/cpu
 // header, and derives the headline ratios the DESIGN.md experiments track:
-// figure_regen_speedup (§6), sim_speedup (§8), the serving plane's
+// figure_regen_speedup (§6), the serving plane's
 // overload contract serve_shed_rate_16x / serve_p99_ratio_16x_vs_1x (§9),
 // the out-of-core scale contract scale_rss_ratio_100x_vs_1x (§11), and the
 // sustained-load serving-tier contract sustained_speedup_vs_pr5 /
@@ -117,16 +117,6 @@ func derive(rec *Record) {
 			rec.Derived = map[string]float64{}
 		}
 		rec.Derived["index_build_share_of_regen"] = build.NsPerOp / idx.NsPerOp
-	}
-	// DESIGN.md §8: sequential slot round ÷ parallel slot engine, both
-	// producing byte-identical output (the sim golden tests enforce it).
-	legacy, okL := rec.Benchmarks["SimFullWindow/workers=1"]
-	engine, okE := rec.Benchmarks["SimFullWindow/workers=4"]
-	if okL && okE && engine.NsPerOp > 0 {
-		if rec.Derived == nil {
-			rec.Derived = map[string]float64{}
-		}
-		rec.Derived["sim_speedup"] = legacy.NsPerOp / engine.NsPerOp
 	}
 	// DESIGN.md §9: the serving plane's load-shedding contract. The shed
 	// rate at 16× capacity shows overload is turned away explicitly, and

@@ -16,7 +16,9 @@
 //	        [-ofac-lag SPEC]
 //	        [-checkpoint-dir DIR] [-resume] [-timeout D]
 //
-// The scenario knobs (-private-flow, -small-builders, -relay-outages,
+// -sim-workers sets the width of the simulation slot engine's worker pool
+// (0 = all CPUs); the artifacts are byte-identical at every width. The
+// scenario knobs (-private-flow, -small-builders, -relay-outages,
 // -ofac-lag) share syntax and validation with cmd/pbslab and the pbsfleet
 // experiment grid; a malformed value is an error before the simulation
 // starts.

@@ -16,9 +16,8 @@
 // The default -days 0 runs the paper's full window (2022-09-15 through
 // 2023-03-31, 198 days); smaller values truncate it for quick runs.
 // -sequential selects the legacy full-scan analysis baseline, and
-// -sim-workers sets the simulation slot engine's parallelism (0 = all
-// CPUs, 1 = the sequential legacy slot path); output is byte-identical
-// at every setting.
+// -sim-workers sets the width of the simulation slot engine's worker pool
+// (0 = all CPUs); output is byte-identical at every setting.
 //
 // The scenario knobs the pbsfleet experiment grid sweeps are also plain
 // flags here, with the same syntax and validation (internal/cli.Knobs):

@@ -266,7 +266,7 @@ func (c *Chain) Validate(block *types.Block) (*ProcessResult, *state.State, erro
 // canonical state instead of a deep copy. The returned post-state reads
 // through to the canonical state, so it is only safe while the canonical
 // state stays unmutated — i.e. within one slot round, before Accept. The
-// parallel slot engine uses it for the per-relay speculative validations
+// simulator's slot engine uses it for the per-relay speculative validations
 // whose post-states are discarded at commit time.
 func (c *Chain) ValidateFork(block *types.Block) (*ProcessResult, *state.State, error) {
 	return c.validate(block, c.st.Fork())
@@ -318,8 +318,8 @@ func (c *Chain) validate(block *types.Block, postState *state.State) (*ProcessRe
 // (or an equivalent fork execution) of exactly this block against the
 // current head. The fork is folded into the canonical state in place, so the
 // block is not re-executed and no deep copy is taken — but every other fork
-// of the canonical state taken this round is invalidated. The parallel slot
-// engine uses it to commit winners it has already validated.
+// of the canonical state taken this round is invalidated. The simulator's
+// slot engine uses it to commit winners it has already validated.
 func (c *Chain) AcceptValidated(block *types.Block, res *ProcessResult, postState *state.State) (*StoredBlock, error) {
 	head := c.Head().Block
 	if block.Header.ParentHash != head.Hash() {

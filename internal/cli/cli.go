@@ -24,10 +24,10 @@ type Config struct {
 	Seed uint64
 	// Workers bounds the analysis/collection worker pools (0 = all CPUs).
 	Workers int
-	// SimWorkers bounds the simulation slot engine: builder block
-	// construction and relay validations fan out over this many workers
-	// (0 = all CPUs, 1 = the sequential legacy path). Every setting
-	// produces byte-identical simulation output.
+	// SimWorkers sets the simulation slot engine's pool width: builder
+	// block construction and relay validations fan out over this many
+	// workers (0 = all CPUs). Every setting produces byte-identical
+	// simulation output.
 	SimWorkers int
 	// Sequential forces the legacy full-scan analysis path (the baseline
 	// the parallel engine is measured against).
@@ -54,7 +54,7 @@ func Register(fs *flag.FlagSet) *Config {
 	fs.IntVar(&c.BlocksPerDay, "blocks-per-day", 24, "blocks simulated per day (mainnet: 7200)")
 	fs.Uint64Var(&c.Seed, "seed", 1, "scenario seed")
 	fs.IntVar(&c.Workers, "workers", 0, "analysis worker pool size (0 = all CPUs)")
-	fs.IntVar(&c.SimWorkers, "sim-workers", 0, "simulation slot-engine workers (0 = all CPUs, 1 = sequential legacy path)")
+	fs.IntVar(&c.SimWorkers, "sim-workers", 0, "simulation slot-engine workers (0 = all CPUs)")
 	fs.BoolVar(&c.Sequential, "sequential", false, "use the sequential full-scan analysis path (baseline)")
 	fs.StringVar(&c.CheckpointDir, "checkpoint-dir", "", "write per-day simulation checkpoints into this directory")
 	fs.BoolVar(&c.Resume, "resume", false, "resume from the newest checkpoint in -checkpoint-dir")

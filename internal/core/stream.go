@@ -247,18 +247,7 @@ func ValidateStream(src DaySource) (ValidationReport, error) {
 		}
 	}
 
-	for _, r := range common.Relays {
-		for _, tr := range r.Delivered {
-			num, ok := byHash[tr.BlockHash]
-			if !ok {
-				flag(VioRelay, tr.BlockNumber, "relay %s delivered unknown block %s", r.Name, tr.BlockHash)
-				continue
-			}
-			if tr.BlockNumber != 0 && tr.BlockNumber != num {
-				flag(VioRelay, num, "relay %s trace says number %d", r.Name, tr.BlockNumber)
-			}
-		}
-	}
+	checkDelivered(&rep, common.Relays, byHash, flag)
 
 	rep.Quarantined = make([]uint64, 0, len(quarantine))
 	for n := range quarantine {

@@ -25,10 +25,18 @@ const (
 	// VioLabel: an MEV label points at a block or transaction the corpus
 	// does not contain.
 	VioLabel = "label"
-	// VioRelay: a relay's delivered trace references a block that is not
-	// on the canonical chain or disagrees with it.
+	// VioRelay: a relay's delivered trace disagrees with the canonical
+	// chain: it names a known block under another number, or an unknown
+	// block at a number outside the corpus or one whose canonical block a
+	// relay delivered.
 	VioRelay = "relay"
 )
+
+// FindUnlanded is the finding kind for a relay delivery of a payload that
+// never landed: an unknown block at a number whose canonical block came
+// through no relay (the proposer signed a relay header, then published a
+// local block). Real relay data APIs list such payloads too.
+const FindUnlanded = "unlanded"
 
 // Violation is one dataset invariant failure.
 type Violation struct {
@@ -53,6 +61,9 @@ type ValidationReport struct {
 	Violations []Violation
 	// Quarantined lists implicated block numbers, sorted ascending.
 	Quarantined []uint64
+	// Findings lists observations that break no invariant (FindUnlanded);
+	// they neither fail OK nor quarantine a block.
+	Findings []Violation
 }
 
 // OK reports whether the dataset passed every invariant.
@@ -62,12 +73,18 @@ func (r ValidationReport) OK() bool { return len(r.Violations) == 0 }
 func (r ValidationReport) Render(w io.Writer) {
 	if r.OK() {
 		fmt.Fprintln(w, "# dataset validation: all invariants hold")
-		return
+	} else {
+		fmt.Fprintf(w, "# dataset validation: %d violation(s), %d block(s) quarantined\n",
+			len(r.Violations), len(r.Quarantined))
+		for _, v := range r.Violations {
+			fmt.Fprintln(w, v)
+		}
 	}
-	fmt.Fprintf(w, "# dataset validation: %d violation(s), %d block(s) quarantined\n",
-		len(r.Violations), len(r.Quarantined))
-	for _, v := range r.Violations {
-		fmt.Fprintln(w, v)
+	if len(r.Findings) > 0 {
+		fmt.Fprintf(w, "# %d finding(s), not violations\n", len(r.Findings))
+		for _, f := range r.Findings {
+			fmt.Fprintln(w, f)
+		}
 	}
 }
 
@@ -89,11 +106,11 @@ func Validate(ds *dataset.Dataset) ValidationReport {
 	}
 
 	byNum := make(map[uint64]*dataset.Block, len(ds.Blocks))
-	byHash := make(map[types.Hash]*dataset.Block, len(ds.Blocks))
+	byHash := make(map[types.Hash]uint64, len(ds.Blocks))
 	txBlock := map[types.Hash]uint64{}
 	for i, b := range ds.Blocks {
 		byNum[b.Number] = b
-		byHash[b.Hash] = b
+		byHash[b.Hash] = b.Number
 		for _, tx := range b.Txs {
 			txBlock[tx.Hash()] = b.Number
 		}
@@ -139,20 +156,7 @@ func Validate(ds *dataset.Dataset) ValidationReport {
 		}
 	}
 
-	// Relay delivered traces must agree with the canonical chain: the
-	// delivered block exists, and its number matches the trace.
-	for _, r := range ds.Relays {
-		for _, tr := range r.Delivered {
-			b, ok := byHash[tr.BlockHash]
-			if !ok {
-				flag(VioRelay, tr.BlockNumber, "relay %s delivered unknown block %s", r.Name, tr.BlockHash)
-				continue
-			}
-			if tr.BlockNumber != 0 && tr.BlockNumber != b.Number {
-				flag(VioRelay, b.Number, "relay %s trace says number %d", r.Name, tr.BlockNumber)
-			}
-		}
-	}
+	checkDelivered(&rep, ds.Relays, byHash, flag)
 
 	rep.Quarantined = make([]uint64, 0, len(quarantine))
 	for n := range quarantine {
@@ -160,6 +164,43 @@ func Validate(ds *dataset.Dataset) ValidationReport {
 	}
 	sort.Slice(rep.Quarantined, func(i, j int) bool { return rep.Quarantined[i] < rep.Quarantined[j] })
 	return rep
+}
+
+// checkDelivered checks every relay delivered trace against the canonical
+// chain, given as block hash → number. A known block must carry its own
+// number. An unknown block is an unlanded payload (a finding) when the
+// canonical block at its number came through no relay; at a number a relay
+// delivered, or outside the corpus, it is a VioRelay.
+func checkDelivered(rep *ValidationReport, relays []dataset.RelayData, byHash map[types.Hash]uint64,
+	flag func(kind string, block uint64, format string, args ...any)) {
+	inCorpus := make(map[uint64]bool, len(byHash))
+	for _, num := range byHash {
+		inCorpus[num] = true
+	}
+	viaRelay := map[uint64]bool{}
+	for _, r := range relays {
+		for _, tr := range r.Delivered {
+			if num, ok := byHash[tr.BlockHash]; ok {
+				viaRelay[num] = true
+			}
+		}
+	}
+	for _, r := range relays {
+		for _, tr := range r.Delivered {
+			num, ok := byHash[tr.BlockHash]
+			switch {
+			case !ok && inCorpus[tr.BlockNumber] && !viaRelay[tr.BlockNumber]:
+				rep.Findings = append(rep.Findings, Violation{
+					Kind: FindUnlanded, Block: tr.BlockNumber,
+					Detail: fmt.Sprintf("relay %s delivered block %s, which never landed", r.Name, tr.BlockHash),
+				})
+			case !ok:
+				flag(VioRelay, tr.BlockNumber, "relay %s delivered unknown block %s", r.Name, tr.BlockHash)
+			case tr.BlockNumber != 0 && tr.BlockNumber != num:
+				flag(VioRelay, num, "relay %s trace says number %d", r.Name, tr.BlockNumber)
+			}
+		}
+	}
 }
 
 // validateConservation recomputes a block's fee totals from its receipts

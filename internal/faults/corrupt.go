@@ -42,7 +42,8 @@ func (c Corruption) String() string {
 // and relay trace consistency — into ds, in place. It picks distinct
 // victim blocks from the seeded stream so no single block absorbs every
 // fault, and returns what it did so a test can assert each corruption is
-// detected. The dataset must span at least six blocks.
+// detected. The dataset must span at least six blocks, and some relay must
+// have delivered one of them other than the first.
 func CorruptDataset(seed uint64, ds *dataset.Dataset) []Corruption {
 	r := rng.New(seed).Fork("corrupt/dataset")
 	n := len(ds.Blocks)
@@ -51,15 +52,36 @@ func CorruptDataset(seed uint64, ds *dataset.Dataset) []Corruption {
 	}
 	// Distinct victims, never block 0 of the slice: order faults compare
 	// against a predecessor, so index >= 1 keeps every fault observable.
+	// The relay victim is drawn first, from the relay-delivered blocks: a
+	// phantom delivery at its number is a violation, while one at a number
+	// whose canonical block came through no relay is an unlanded payload,
+	// not a fault.
+	delivered := map[types.Hash]bool{}
+	for _, rel := range ds.Relays {
+		for _, tr := range rel.Delivered {
+			delivered[tr.BlockHash] = true
+		}
+	}
+	var viaRelay []int
+	for i := 1; i < n; i++ {
+		if delivered[ds.Blocks[i].Hash] {
+			viaRelay = append(viaRelay, i)
+		}
+	}
+	if len(viaRelay) == 0 {
+		panic("faults: CorruptDataset needs a relay-delivered block after the first")
+	}
+	relayVictim := viaRelay[r.Intn(len(viaRelay))]
 	victims := make([]int, 0, 5)
-	taken := map[int]bool{}
-	for len(victims) < 5 {
+	taken := map[int]bool{relayVictim: true}
+	for len(victims) < 4 {
 		i := 1 + r.Intn(n-1)
 		if !taken[i] {
 			taken[i] = true
 			victims = append(victims, i)
 		}
 	}
+	victims = append(victims, relayVictim)
 	var out []Corruption
 	note := func(kind string, block uint64, format string, args ...any) {
 		out = append(out, Corruption{
@@ -97,11 +119,9 @@ func CorruptDataset(seed uint64, ds *dataset.Dataset) []Corruption {
 	})
 	note("label", b.Number, "sandwich label references a ghost transaction")
 
-	// Relay: a delivered trace for a block hash that never landed on chain.
+	// Relay: a second delivered hash, one that never landed on chain, for a
+	// relay-delivered block.
 	b = ds.Blocks[victims[4]]
-	if len(ds.Relays) == 0 {
-		panic("faults: CorruptDataset needs at least one relay")
-	}
 	rel := &ds.Relays[r.Intn(len(ds.Relays))]
 	var phantom types.Hash
 	for i := range phantom {

@@ -191,6 +191,8 @@ func RunWorker(ctx context.Context, spec WorkerSpec, hb io.Writer) error {
 		}
 	}
 
+	// One slot-engine worker per cell: the fleet already runs cells in
+	// parallel, one per worker process.
 	res, err := sim.RunOpts(ctx, sc, sim.RunOptions{
 		CheckpointDir: spec.CheckpointDir,
 		Resume:        spec.CheckpointDir != "",

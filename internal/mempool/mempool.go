@@ -33,7 +33,8 @@ type Pool struct {
 	// static part of the Executable order — tip descending, hash ascending
 	// — and is maintained incrementally on Add/Remove instead of re-sorted
 	// per block. The index is built lazily on the first ExecutableOrdered
-	// call so callers of the legacy Executable never pay for it.
+	// call so Executable, the reference its tests compare against, never
+	// pays for it.
 	ordered []*types.Transaction
 	indexed bool
 

@@ -64,9 +64,9 @@ func (r *Registry) Lookup(addr types.Address) (Designation, bool) {
 	return d, ok
 }
 
-// Snapshot returns the set of addresses sanctioned at time at. Relay
-// implementations use lagged snapshots as their blacklists, which is exactly
-// how the filtering gaps around list updates arise.
+// Snapshot returns the set of addresses sanctioned at time at, rebuilt on
+// every call. Enforcers read the same sets from a precomputed Schedule,
+// whose tests use Snapshot as the reference.
 func (r *Registry) Snapshot(at time.Time) map[types.Address]bool {
 	out := make(map[types.Address]bool)
 	for addr, d := range r.byAddr {

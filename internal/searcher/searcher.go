@@ -20,10 +20,9 @@ import (
 // Context is the view a searcher gets when hunting for opportunities in the
 // upcoming block.
 type Context struct {
-	// State is a view of the head state: a copy-on-write fork on the
-	// parallel slot engine's path, a deep copy on the sequential one.
-	// Searchers may simulate on it using snapshots but must revert
-	// everything they apply.
+	// State is a view of the head state: in the simulator, a
+	// copy-on-write fork taken for the slot. Searchers may simulate on it
+	// using snapshots but must revert everything they apply.
 	State *state.State
 	// Engine executes speculative transactions.
 	Engine *evm.Engine

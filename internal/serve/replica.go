@@ -575,4 +575,3 @@ func retryAfterHint(h http.Header) time.Duration {
 	}
 	return time.Duration(secs) * time.Second
 }
-

@@ -1,22 +1,23 @@
 package sim
 
-// The parallel slot engine: the RunOptions.Workers != 1 replacement for
-// runBuilders. It produces byte-identical results to the sequential path by
-// splitting each slot round into four phases with a strict ownership rule
-// per shared resource:
+// The slot engine: every slot round (builders submit to relays, relays
+// validate, the proposer's sidecar takes the best header) runs through it.
+// Each round is split into four phases with a strict ownership rule per
+// shared resource, so the output is byte-identical at every worker count:
 //
 //   A. Prepare (sequential): every draw from the shared flow RNG and every
-//      FindBundles call against the shared searcher context happens here, in
-//      exactly the order the sequential path makes them.
+//      FindBundles call against the shared searcher context happens here,
+//      in builder order.
 //   B. Build (parallel): each builder constructs its block against a private
 //      copy-on-write fork of the canonical state, drawing only from its own
 //      private RNG stream, so scheduling order cannot perturb any draw.
-//   C. Validate (parallel): the distinct blocks that a sequential submission
-//      pass would execute are validated concurrently on separate forks and
-//      the results primed into the shared validation cache.
-//   D. Commit (sequential): submissions reach the relays in exactly the
-//      sequential path's order, so order-sensitive relay state (best-bid
-//      replacement is strictly-greater) is untouched.
+//   C. Validate (parallel): the distinct blocks that the commit phase's
+//      relay submissions would execute are validated concurrently on
+//      separate forks and the results primed into the shared validation
+//      cache.
+//   D. Commit (sequential): submissions reach the relays in builder order,
+//      so order-sensitive relay state (best-bid replacement is
+//      strictly-greater) does not depend on the worker count.
 //
 // Worker panics are isolated by the stats worker pool and surface as run
 // errors instead of crashing sibling builds.
@@ -50,7 +51,7 @@ type buildTask struct {
 	res  *builder.Result
 	sub  *pbs.Submission
 	ok   bool
-	// validate marks tasks whose block a sequential submission pass would
+	// validate marks tasks whose block a relay submission in phase D would
 	// execute; only those are pre-validated in phase C.
 	validate bool
 
@@ -58,7 +59,7 @@ type buildTask struct {
 	candidate []*types.Transaction
 }
 
-// slotEngine holds the pooled per-slot scratch of the parallel path.
+// slotEngine holds the pooled per-slot scratch of the slot round.
 type slotEngine struct {
 	w       *World
 	view    *cachingView
@@ -66,7 +67,7 @@ type slotEngine struct {
 
 	tasks []*buildTask // task pool, grown on demand
 	used  int
-	order []*buildTask // current slot's tasks in sequential submit order
+	order []*buildTask // current slot's tasks in submit order
 	par   []*buildTask // subset built in parallel (distinct builders)
 	seq   []*buildTask // exploit subset (shared exploiter RNG: built in order)
 
@@ -74,25 +75,20 @@ type slotEngine struct {
 	valRes    []cachedValidation
 	seen      map[types.Hash]bool
 
-	// blSchedules caches each filtering builder's precomputed blacklist
-	// schedule (aligned-relay lag or the registry's day-after rule).
-	blSchedules map[*builderEntry]*ofac.Schedule
+	// sanctions is the registry's day-after-rule blacklist, shared by the
+	// filtering builders that are not aligned with a relay.
+	sanctions *ofac.Schedule
 }
 
-// newSlotEngine switches the run onto the parallel path: the validation
-// cache falls back to fork-based validation and every relay resolves its
-// blacklist from a precomputed schedule.
+// newSlotEngine builds a run's slot engine over the shared validation
+// cache, with a pool of workers.
 func newSlotEngine(w *World, view *cachingView, workers int) *slotEngine {
-	view.fork = true
-	for _, name := range w.RelayOrder {
-		w.Relays[name].EnableBlacklistSchedule()
-	}
 	return &slotEngine{
-		w:           w,
-		view:        view,
-		workers:     workers,
-		seen:        map[types.Hash]bool{},
-		blSchedules: map[*builderEntry]*ofac.Schedule{},
+		w:         w,
+		view:      view,
+		workers:   workers,
+		seen:      map[types.Hash]bool{},
+		sanctions: ofac.NewSchedule(w.Sanctions, nil),
 	}
 }
 
@@ -116,35 +112,22 @@ func (eng *slotEngine) grabTask() *buildTask {
 	return t
 }
 
-// blacklistFor resolves a filtering builder's sanction set at time at from a
-// per-builder schedule, matching World.builderBlacklist membership exactly:
-// aligned builders mirror their relay's wave lag, the rest follow the
-// registry's day-after rule. The returned map is shared and read-only.
+// blacklistFor returns the sanction set a filtering builder enforces at
+// time at: a builder aligned with a relay follows that relay's wave lag,
+// the rest follow the registry's day-after rule. The map is shared and
+// read-only.
 func (eng *slotEngine) blacklistFor(e *builderEntry, at time.Time) map[types.Address]bool {
 	if !e.Spec.OFACFiltering {
 		return nil
 	}
-	s, ok := eng.blSchedules[e]
-	if !ok {
-		var applied func(ofac.Designation) time.Time
-		if e.Spec.AlignedRelay != "" {
-			if r, aligned := eng.w.Relays[e.Spec.AlignedRelay]; aligned {
-				applied = func(d ofac.Designation) time.Time {
-					a := d.Effective()
-					if override, hit := r.Faults.BlacklistApplied[d.Designated.UTC().Format("2006-01-02")]; hit {
-						a = override
-					}
-					return a
-				}
-			}
-		}
-		s = ofac.NewSchedule(eng.w.Sanctions, applied)
-		eng.blSchedules[e] = s
+	if r, ok := eng.w.Relays[e.Spec.AlignedRelay]; ok {
+		return r.BlacklistAt(at)
 	}
-	return s.At(at)
+	return eng.sanctions.At(at)
 }
 
-// runSlot is the parallel equivalent of World.runBuilders.
+// runSlot runs one slot round: every active builder (and every exploit
+// task in its window) builds a block and submits it to its relays.
 func (eng *slotEngine) runSlot(now time.Time, slot uint64, proposerPub types.PubKey,
 	proposerFee types.Address, shared []*types.Bundle, protected []*types.Transaction,
 	pending []*types.Transaction, sctx *searcher.Context, flowRng *rng.RNG) error {
@@ -156,8 +139,8 @@ func (eng *slotEngine) runSlot(now time.Time, slot uint64, proposerPub types.Pub
 	eng.seq = eng.seq[:0]
 
 	// Phase A: sequential prepare. Shared flow-RNG draws and exclusive
-	// searcher runs against the shared context keep the sequential path's
-	// exact order; builder-private state is staged into the task.
+	// searcher runs against the shared context happen in builder order;
+	// builder-private state is staged into the task.
 	prep := func(e *builderEntry) {
 		if !e.Spec.Active.Contains(now) {
 			return
@@ -256,9 +239,9 @@ func (eng *slotEngine) runSlot(now time.Time, slot uint64, proposerPub types.Pub
 		t.sub = w.Exploiter.Submission(t.args, t.res)
 	}
 
-	// Phase C: parallel validation of exactly the distinct blocks a
-	// sequential submission pass would execute, primed into the shared cache
-	// so the commit phase's relay checks are pure cache hits.
+	// Phase C: parallel validation of exactly the distinct blocks the
+	// commit phase's submissions would execute, primed into the shared cache
+	// so the relay checks are pure cache hits.
 	clear(eng.seen)
 	eng.valBlocks = eng.valBlocks[:0]
 	for _, t := range eng.order {
@@ -293,7 +276,7 @@ func (eng *slotEngine) runSlot(now time.Time, slot uint64, proposerPub types.Pub
 		}
 	}
 
-	// Phase D: sequential commit in the legacy submission order.
+	// Phase D: sequential commit in builder order.
 	for _, t := range eng.order {
 		if !t.ok {
 			continue

@@ -62,14 +62,12 @@ type Result struct {
 }
 
 // cachingView validates each distinct block once per slot round, sharing
-// the result across relays.
+// the result across relays. A miss validates on a copy-on-write fork:
+// relays discard the post-state, and the cache is cleared every slot, so a
+// fork never outlives its base.
 type cachingView struct {
 	c     *chain.Chain
 	cache map[types.Hash]cachedValidation
-	// fork switches cache misses to copy-on-write fork validation. The
-	// parallel slot engine sets it; relays discard the post-state, and the
-	// cache is cleared every slot, so a fork never outlives its base.
-	fork bool
 }
 
 type cachedValidation struct {
@@ -82,22 +80,13 @@ func (v *cachingView) Validate(block *types.Block) (*chain.ProcessResult, *state
 	if hit, ok := v.cache[block.Hash()]; ok {
 		return hit.res, hit.st, hit.err
 	}
-	var (
-		res *chain.ProcessResult
-		st  *state.State
-		err error
-	)
-	if v.fork {
-		res, st, err = v.c.ValidateFork(block)
-	} else {
-		res, st, err = v.c.Validate(block)
-	}
+	res, st, err := v.c.ValidateFork(block)
 	v.cache[block.Hash()] = cachedValidation{res: res, st: st, err: err}
 	return res, st, err
 }
 
-// prime installs a precomputed validation result (the parallel engine's
-// phase C) so later relay lookups are cache hits.
+// prime installs a precomputed validation result (the slot engine's phase
+// C) so later relay lookups are cache hits.
 func (v *cachingView) prime(h types.Hash, cv cachedValidation) {
 	v.cache[h] = cv
 }
@@ -132,10 +121,10 @@ type RunOptions struct {
 	// for heartbeat pacing and process-fault injection; it runs on the
 	// simulation goroutine and must not touch the scenario's RNG streams.
 	OnSlot func(slot uint64)
-	// Workers sets the slot-engine parallelism: builder block construction
-	// and relay block validations fan out over a bounded worker pool.
-	// 0 means GOMAXPROCS; 1 selects the sequential legacy path. Results are
-	// byte-identical at every setting (golden tests enforce it).
+	// Workers sets the slot engine's pool width: builder block construction
+	// and relay block validations fan out over that many workers. 0 means
+	// GOMAXPROCS. Results are byte-identical at every setting (the digest
+	// goldens enforce it).
 	Workers int
 }
 
@@ -194,10 +183,7 @@ func RunOpts(ctx context.Context, sc Scenario, opts RunOptions) (*Result, error)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	var eng *slotEngine
-	if workers != 1 {
-		eng = newSlotEngine(w, view, workers)
-	}
+	eng := newSlotEngine(w, view, workers)
 
 	rs := &runState{
 		ds: newDemandState(w),
@@ -297,21 +283,12 @@ func RunOpts(ctx context.Context, sc Scenario, opts RunOptions) (*Result, error)
 		proposer := w.Schedule.Proposer(rs.slot)
 		op := w.Population.OperatorOf(proposer.Index)
 
-		// 3. Candidate transactions and bundles. The parallel engine serves
-		// pending from the pool's incrementally ordered index and runs the
-		// searchers against an O(1) state fork; both are read-for-read
-		// identical to the legacy full sort and deep copy.
-		var pending []*types.Transaction
-		var sctxState *state.State
-		if eng != nil {
-			pending = w.Mempool.ExecutableOrdered(w.Chain.State(), baseFee, 400)
-			sctxState = w.Chain.StateFork()
-		} else {
-			pending = w.Mempool.Executable(w.Chain.State(), baseFee, 400)
-			sctxState = w.Chain.StateCopy()
-		}
+		// 3. Candidate transactions and bundles: pending comes from the
+		// pool's incrementally ordered index, and the searchers run against
+		// an O(1) state fork.
+		pending := w.Mempool.ExecutableOrdered(w.Chain.State(), baseFee, 400)
 		sctx := &searcher.Context{
-			State:       sctxState,
+			State:       w.Chain.StateFork(),
 			Engine:      w.Engine,
 			BaseFee:     baseFee,
 			TargetBlock: headNumber + 1,
@@ -354,14 +331,9 @@ func RunOpts(ctx context.Context, sc Scenario, opts RunOptions) (*Result, error)
 			sidecar.Stats = rs.boostStats
 			sidecar.Register(now)
 
-			if eng != nil {
-				if err := eng.runSlot(now, rs.slot, proposer.Pub(), op.FeeRecipient,
-					sharedBundles, rs.privatePool, pending, sctx, rs.flowRng); err != nil {
-					return nil, err
-				}
-			} else {
-				w.runBuilders(now, rs.slot, proposer.Pub(), op.FeeRecipient,
-					sharedBundles, rs.privatePool, pending, sctx, rs.flowRng)
+			if err := eng.runSlot(now, rs.slot, proposer.Pub(), op.FeeRecipient,
+				sharedBundles, rs.privatePool, pending, sctx, rs.flowRng); err != nil {
+				return nil, err
 			}
 
 			prop, err := sidecar.Propose(now, rs.slot)
@@ -388,36 +360,22 @@ func RunOpts(ctx context.Context, sc Scenario, opts RunOptions) (*Result, error)
 			if op.Name == "AnkrPool" && len(tr.binance) > 0 {
 				localPending = append(append([]*types.Transaction{}, tr.binance...), pending...)
 			}
-			if eng != nil {
-				// Engine path: pack on a fork and keep the execution
-				// artifacts, so the commit below absorbs the fork instead of
-				// re-executing the block.
-				st := w.Chain.StateFork()
-				newBlock, localArt.res = builder.BuildLocalExec(w.Chain, st, rs.slot,
-					op.FeeRecipient, localPending, op.LocalCoverage, rs.localRng)
-				localArt.st = st
-			} else {
-				newBlock = builder.BuildLocal(w.Chain, rs.slot, op.FeeRecipient,
-					localPending, op.LocalCoverage, rs.localRng)
-			}
+			// Pack on a fork and keep the execution artifacts, so the
+			// commit below absorbs the fork instead of re-executing the
+			// block.
+			localArt.st = w.Chain.StateFork()
+			newBlock, localArt.res = builder.BuildLocalExec(w.Chain, localArt.st, rs.slot,
+				op.FeeRecipient, localPending, op.LocalCoverage, rs.localRng)
 			rs.truth.PBS[newBlock.Number()] = false
 		}
 		rs.truth.Operator[newBlock.Number()] = op.Name
 
-		var stored *chain.StoredBlock
-		var err error
-		if eng != nil {
-			stored, err = eng.accept(newBlock, localArt)
-		} else {
-			stored, err = w.Chain.Accept(newBlock)
-		}
+		stored, err := eng.accept(newBlock, localArt)
 		if err != nil {
 			return nil, fmt.Errorf("sim: slot %d: accept: %w", rs.slot, err)
 		}
 		w.Chain.State().ClearJournal()
-		if eng != nil {
-			eng.release(sctx.State, localArt.st)
-		}
+		eng.release(sctx.State, localArt.st)
 		w.Ledger.RecordProposal(proposer)
 
 		// 5. Post-block housekeeping.
@@ -603,108 +561,6 @@ func sampleRelays(era RelayEra, r interface{ Pick([]float64) int }) []string {
 		weights[idx] = 0
 	}
 	return out
-}
-
-// runBuilders has every active builder construct and submit a block for the
-// slot.
-func (w *World) runBuilders(now time.Time, slot uint64, proposerPub types.PubKey,
-	proposerFee types.Address, shared []*types.Bundle, protected []*types.Transaction,
-	pending []*types.Transaction, sctx *searcher.Context, flowRng interface {
-		Bool(float64) bool
-		Float64() float64
-	}) {
-
-	runOne := func(e *builderEntry) {
-		if !e.Spec.Active.Contains(now) {
-			return
-		}
-		// Bundle flow: probabilistic subscription per bundle.
-		var bundles []*types.Bundle
-		flow := e.Spec.Flow.At(now)
-		for _, b := range shared {
-			if flowRng.Bool(flow) {
-				bundles = append(bundles, b)
-			}
-		}
-		for _, ex := range e.Exclusive {
-			bundles = append(bundles, ex.FindBundles(sctx)...)
-		}
-
-		// Pending view: protected flow plus the public pool, minus anything
-		// the builder's own OFAC filter drops.
-		blacklist := w.builderBlacklist(e, now)
-		candidate := make([]*types.Transaction, 0, len(protected)+len(pending))
-		for _, tx := range protected {
-			if blacklist != nil && (blacklist[tx.From] || blacklist[tx.To]) {
-				continue
-			}
-			candidate = append(candidate, tx)
-		}
-		for _, tx := range pending {
-			if blacklist != nil && (blacklist[tx.From] || blacklist[tx.To]) {
-				continue
-			}
-			candidate = append(candidate, tx)
-		}
-
-		// Subsidy override (beaverbuild's loss window).
-		if len(e.Spec.SubsidyOverride.Points) > 0 {
-			e.B.SubsidyProb = e.Spec.SubsidyOverride.At(now)
-		}
-
-		args := builder.Args{
-			Chain: w.Chain, Slot: slot,
-			ProposerPubkey:       proposerPub,
-			ProposerFeeRecipient: proposerFee,
-			Bundles:              bundles,
-			Pending:              candidate,
-		}
-		res, ok := e.B.Build(args)
-		if !ok {
-			return
-		}
-		sub := e.B.Submission(args, res)
-		for _, name := range e.Spec.Profile.Relays {
-			if r, ok := w.Relays[name]; ok {
-				_ = r.SubmitBlock(now, sub)
-			}
-		}
-	}
-
-	for _, e := range w.Builders {
-		runOne(e)
-	}
-	for _, e := range w.SmallBuilders {
-		if flowRng.Float64() < w.Scenario.SmallBuilderSampleProb {
-			runOne(e)
-		}
-	}
-
-	// Value-misreporting exploits: build an honest block that pays the
-	// proposer nothing, then claim ClaimETH. Relays with their value check
-	// down accept and out-promise every honest bid.
-	for _, ex := range w.Scenario.Exploits {
-		if !ex.Window.Contains(now) {
-			continue
-		}
-		r, ok := w.Relays[ex.Relay]
-		if !ok {
-			continue
-		}
-		args := builder.Args{
-			Chain: w.Chain, Slot: slot,
-			ProposerPubkey:       proposerPub,
-			ProposerFeeRecipient: proposerFee,
-			Pending:              pending,
-		}
-		res, okB := w.Exploiter.Build(args)
-		if !okB {
-			continue
-		}
-		res.Payment = types.Ether(ex.ClaimETH) // the lie
-		sub := w.Exploiter.Submission(args, res)
-		_ = r.SubmitBlock(now, sub)
-	}
 }
 
 // builderNameOf maps a winning pubkey back to a builder name (ground truth

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/ethpbs/pbslab/internal/beacon"
 	"github.com/ethpbs/pbslab/internal/builder"
@@ -287,37 +286,6 @@ func NewWorld(sc Scenario) (*World, error) {
 	}
 
 	return w, nil
-}
-
-// builderBlacklist returns the sanction set a filtering builder enforces at
-// time t, following its aligned relay's lag schedule.
-func (w *World) builderBlacklist(e *builderEntry, at time.Time) map[types.Address]bool {
-	if !e.Spec.OFACFiltering {
-		return nil
-	}
-	if e.Spec.AlignedRelay != "" {
-		if r, ok := w.Relays[e.Spec.AlignedRelay]; ok {
-			return relayBlacklist(r, w.Sanctions, at)
-		}
-	}
-	return w.Sanctions.Snapshot(at)
-}
-
-// relayBlacklist mirrors relay.blacklistAt without exporting it: the
-// builder uses the same wave-lag schedule as its aligned relay.
-func relayBlacklist(r *relay.Relay, reg *ofac.Registry, at time.Time) map[types.Address]bool {
-	out := map[types.Address]bool{}
-	for _, d := range reg.All() {
-		applied := d.Effective()
-		waveKey := d.Designated.UTC().Format("2006-01-02")
-		if override, ok := r.Faults.BlacklistApplied[waveKey]; ok {
-			applied = override
-		}
-		if !at.Before(applied) {
-			out[d.Address] = true
-		}
-	}
-	return out
 }
 
 // BuilderLabels returns the public label map (fee recipient → builder

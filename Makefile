@@ -69,14 +69,15 @@ govulncheck:
 # Crash-safety suite under the race detector: kill-and-resume goldens
 # (simulation checkpoints and byte-identical artifacts at one and several
 # slot-engine workers), the sim's committed-digest goldens at several
-# worker counts, corruption injection against the dataset validator and the
-# manifest verifier, and crawler checkpoint persistence.
+# worker counts (every sim test re-executes each block the slot engine
+# adopts from its builder and fails on any difference), corruption
+# injection against the dataset validator and the manifest verifier, and
+# crawler checkpoint persistence.
 chaos:
 	$(GO) test -race -count=1 \
 		-run 'KillAndResume|Resume|Checkpoint|Corrupt|Verify|Validate|Panic|Cancel|Workers' \
 		./internal/sim/... ./internal/report/... ./internal/core/... \
-		./internal/faults/... ./internal/relayapi/... ./internal/stats/... \
-		./internal/cli/...
+		./internal/relayapi/... ./internal/stats/... ./internal/cli/...
 
 # Fleet fault suite under the race detector: seeded process-level chaos
 # (workers killed mid-cell, wedged without exiting, corrupt cell output)
@@ -118,7 +119,7 @@ chaos-wan:
 	$(GO) test -race -count=1 \
 		-run 'WAN|Registr|Duplicate|Drain|Secret|Auth|Redact|Scrub|FetchFileTo|SyncMembers|RetryAfter|Cut|Throttle|Flap' \
 		./internal/agent/... ./internal/fleet/... ./internal/serve/... \
-		./internal/faults/... ./internal/backoff/... ./internal/cli/...
+		./internal/faults/... ./internal/backoff/...
 
 # Serving-plane soak under the race detector: overload shedding with a
 # balanced admission ledger, zero-loss graceful drain, verified hot-swap

@@ -73,6 +73,12 @@ type Result struct {
 	Tips types.Wei
 	// Direct is the coinbase-transfer revenue (bundle payments).
 	Direct types.Wei
+	// Exec is the block's execution, recorded while it was packed, in
+	// exactly the form chain.Process reports for the block's transactions
+	// on the parent state: receipts with block-wide log indices, traces,
+	// gas, burned fees and tips. A caller-supplied Args.State holds the
+	// matching post-state.
+	Exec *chain.ProcessResult
 }
 
 // Builder assembles and signs PBS block submissions.
@@ -148,8 +154,9 @@ func (b *Builder) VerificationKey(slot uint64) crypto.Hash {
 
 // Build assembles a block for the slot: bundles first (atomic, dropped if
 // any leg fails or reverts), then coverage-sampled public transactions by
-// tip order, then the proposer payment transaction. It returns false only
-// when no valid template exists.
+// tip order, then the proposer payment transaction. The block's execution
+// is recorded in Result.Exec and its post-state left in args.State. It
+// returns false only when no valid template exists.
 func (b *Builder) Build(args Args) (*Result, bool) {
 	if args.Chain == nil {
 		return nil, false
@@ -166,21 +173,8 @@ func (b *Builder) Build(args Args) (*Result, bool) {
 	}
 	budget := header.GasLimit - paymentGas
 
-	var (
-		txs      []*types.Transaction
-		included = map[types.Hash]bool{}
-		gasUsed  uint64
-		tips     = u256.Zero
-		direct   = u256.Zero
-	)
-	addRevenue := func(res *evm.Result) {
-		tips = tips.Add(res.Tip)
-		for _, t := range res.Traces {
-			if t.To == b.Addr {
-				direct = direct.Add(t.Value)
-			}
-		}
-	}
+	x := newBlockExec()
+	included := map[types.Hash]bool{}
 
 	// Private order flow: each bundle is all-or-nothing and must not revert
 	// (Flashbots semantics — a reverted leg voids the bundle).
@@ -201,23 +195,21 @@ func (b *Builder) Build(args Args) (*Result, bool) {
 		if dup {
 			continue
 		}
-		snap := st.Snapshot()
-		startGas, startTips, startDirect, startLen := gasUsed, tips, direct, len(txs)
+		// The record only grows by append, so a copy taken here still holds
+		// it as it stands: restoring the copy rolls the record back.
+		snap, mark := st.Snapshot(), *x
 		ok := true
 		for _, tx := range bundle.Txs {
 			res, err := engine.ApplyTx(st, ctx, tx)
-			if err != nil || !res.Receipt.Succeeded() || gasUsed+res.Receipt.GasUsed > budget {
+			if err != nil || !res.Receipt.Succeeded() || x.res.GasUsed+res.Receipt.GasUsed > budget {
 				ok = false
 				break
 			}
-			gasUsed += res.Receipt.GasUsed
-			addRevenue(res)
-			txs = append(txs, tx)
+			x.include(tx, res)
 		}
 		if !ok {
 			st.RevertTo(snap)
-			gasUsed, tips, direct = startGas, startTips, startDirect
-			txs = txs[:startLen]
+			*x = mark
 			continue
 		}
 		for _, tx := range bundle.Txs {
@@ -235,22 +227,17 @@ func (b *Builder) Build(args Args) (*Result, bool) {
 		}
 		snap := st.Snapshot()
 		res, err := engine.ApplyTx(st, ctx, tx)
-		if err != nil {
+		if err != nil || x.res.GasUsed+res.Receipt.GasUsed > budget {
 			st.RevertTo(snap)
 			continue
 		}
-		if gasUsed+res.Receipt.GasUsed > budget {
-			st.RevertTo(snap)
-			continue
-		}
-		gasUsed += res.Receipt.GasUsed
-		addRevenue(res)
-		txs = append(txs, tx)
+		x.include(tx, res)
 		included[tx.Hash()] = true
 	}
 
 	// Proposer payment: block value minus the builder's margin draw, plus
 	// an occasional subsidy from the builder's own treasury.
+	tips, direct := x.res.Tips, x.paidTo(b.Addr)
 	value := tips.Add(direct)
 	payment := value
 	if margin := b.r.Normal(b.Profile.MarginETH, b.Profile.MarginSigmaETH); margin >= 0 {
@@ -271,17 +258,17 @@ func (b *Builder) Build(args Args) (*Result, bool) {
 			st.RevertTo(snap)
 			payment = u256.Zero
 		} else {
-			gasUsed += res.Receipt.GasUsed
-			txs = append(txs, payTx)
+			x.include(payTx, res)
 		}
 	}
 
-	header.GasUsed = gasUsed
+	block, exec := x.seal(header)
 	return &Result{
-		Block:   types.NewBlock(header, txs),
+		Block:   block,
 		Payment: payment,
 		Tips:    tips,
 		Direct:  direct,
+		Exec:    exec,
 	}, true
 }
 
@@ -314,11 +301,11 @@ func (b *Builder) Submission(args Args, res *Result) *pbs.Submission {
 // public transactions in tip order, no bundles, no payment transaction —
 // the proposer keeps tips directly as fee recipient. It packs against a
 // caller-supplied state (typically a copy-on-write fork of the canonical
-// state) and also returns the execution artifacts accumulated while
-// packing. The returned ProcessResult matches what chain.Process would
-// produce for the finished block — rejected transactions are fully
-// reverted before the next candidate runs — so the caller can commit
-// through AcceptValidated without executing the block a second time.
+// state) and also returns the execution recorded while packing, which is
+// what chain.Process would produce for the finished block — rejected
+// transactions are fully reverted before the next candidate runs — so the
+// caller can commit through AcceptValidated without executing the block a
+// second time.
 func BuildLocalExec(c *chain.Chain, st *state.State, slot uint64, feeRecipient types.Address,
 	pending []*types.Transaction, coverage float64, r *rng.RNG) (*types.Block, *chain.ProcessResult) {
 
@@ -328,34 +315,72 @@ func BuildLocalExec(c *chain.Chain, st *state.State, slot uint64, feeRecipient t
 		BaseFee: header.BaseFee, FeeRecipient: feeRecipient, GasLimit: header.GasLimit,
 	}
 
-	res := &chain.ProcessResult{Burned: u256.Zero, Tips: u256.Zero}
-	var txs []*types.Transaction
-	logIndex := uint(0)
+	x := newBlockExec()
 	for _, tx := range pending {
 		if !r.Bool(coverage) {
 			continue
 		}
 		snap := st.Snapshot()
 		out, err := c.Engine().ApplyTx(st, ctx, tx)
-		if err != nil {
+		if err != nil || x.res.GasUsed+out.Receipt.GasUsed > header.GasLimit {
 			st.RevertTo(snap)
 			continue
 		}
-		if res.GasUsed+out.Receipt.GasUsed > header.GasLimit {
-			st.RevertTo(snap)
-			continue
-		}
-		res.GasUsed += out.Receipt.GasUsed
-		for j := range out.Receipt.Logs {
-			out.Receipt.Logs[j].Index = logIndex
-			logIndex++
-		}
-		res.Receipts = append(res.Receipts, out.Receipt)
-		res.Traces = append(res.Traces, out.Traces...)
-		res.Burned = res.Burned.Add(out.Burned)
-		res.Tips = res.Tips.Add(out.Tip)
-		txs = append(txs, tx)
+		x.include(tx, out)
 	}
-	header.GasUsed = res.GasUsed
-	return types.NewBlock(header, txs), res
+	return x.seal(header)
+}
+
+// blockExec accumulates a block while a builder packs it: the included
+// transactions and their execution, numbered and summed exactly as
+// chain.Process reports the finished block.
+type blockExec struct {
+	txs  []*types.Transaction
+	res  chain.ProcessResult
+	logs uint // the next log's block-wide index
+}
+
+func newBlockExec() *blockExec {
+	return &blockExec{res: chain.ProcessResult{Burned: u256.Zero, Tips: u256.Zero}}
+}
+
+// include records an applied transaction and its execution, numbering its
+// logs after every log already in the block.
+func (x *blockExec) include(tx *types.Transaction, out *evm.Result) {
+	for j := range out.Receipt.Logs {
+		out.Receipt.Logs[j].Index = x.logs
+		x.logs++
+	}
+	x.txs = append(x.txs, tx)
+	x.res.Receipts = append(x.res.Receipts, out.Receipt)
+	x.res.Traces = append(x.res.Traces, out.Traces...)
+	x.res.GasUsed += out.Receipt.GasUsed
+	x.res.Burned = x.res.Burned.Add(out.Burned)
+	x.res.Tips = x.res.Tips.Add(out.Tip)
+}
+
+// paidTo sums the traced transfers to addr: a builder's coinbase revenue.
+func (x *blockExec) paidTo(addr types.Address) types.Wei {
+	sum := u256.Zero
+	for _, t := range x.res.Traces {
+		if t.To == addr {
+			sum = sum.Add(t.Value)
+		}
+	}
+	return sum
+}
+
+// seal sets the header's gas and returns the block with its execution.
+// chain.Process never reports an empty non-nil list, so a list a rollback
+// emptied is dropped.
+func (x *blockExec) seal(header *types.Header) (*types.Block, *chain.ProcessResult) {
+	header.GasUsed = x.res.GasUsed
+	res := x.res
+	if len(res.Receipts) == 0 {
+		res.Receipts = nil
+	}
+	if len(res.Traces) == 0 {
+		res.Traces = nil
+	}
+	return types.NewBlock(header, x.txs), &res
 }

@@ -266,8 +266,8 @@ func (c *Chain) Validate(block *types.Block) (*ProcessResult, *state.State, erro
 // canonical state instead of a deep copy. The returned post-state reads
 // through to the canonical state, so it is only safe while the canonical
 // state stays unmutated — i.e. within one slot round, before Accept. The
-// simulator's slot engine uses it for the per-relay speculative validations
-// whose post-states are discarded at commit time.
+// simulator's validation cache uses it for a block it has no recorded
+// execution for.
 func (c *Chain) ValidateFork(block *types.Block) (*ProcessResult, *state.State, error) {
 	return c.validate(block, c.st.Fork())
 }
@@ -275,30 +275,10 @@ func (c *Chain) ValidateFork(block *types.Block) (*ProcessResult, *state.State, 
 // validate runs the header checks and executes block against postState,
 // mutating it.
 func (c *Chain) validate(block *types.Block, postState *state.State) (*ProcessResult, *state.State, error) {
-	head := c.Head().Block
+	if err := c.checkHeader(block); err != nil {
+		return nil, nil, err
+	}
 	h := block.Header
-	if h.ParentHash != head.Hash() {
-		return nil, nil, fmt.Errorf("%w: %s", ErrUnknownParent, h.ParentHash)
-	}
-	if h.Number != head.Number()+1 {
-		return nil, nil, fmt.Errorf("%w: %d after %d", ErrBadNumber, h.Number, head.Number())
-	}
-	if h.Slot <= head.Header.Slot {
-		return nil, nil, fmt.Errorf("%w: slot %d after %d", ErrStaleSlot, h.Slot, head.Header.Slot)
-	}
-	if want := c.SlotTime(h.Slot); h.Timestamp != want {
-		return nil, nil, fmt.Errorf("%w: %d, slot %d implies %d", ErrBadTimestamp, h.Timestamp, h.Slot, want)
-	}
-	if want := c.NextBaseFee(); h.BaseFee != want {
-		return nil, nil, fmt.Errorf("%w: %s, want %s", ErrBadBaseFee, h.BaseFee, want)
-	}
-	if h.GasLimit != c.cfg.GasLimit {
-		return nil, nil, fmt.Errorf("%w: %d", ErrBadGasLimit, h.GasLimit)
-	}
-	if want := types.ComputeTxRoot(block.Txs); h.TxRoot != want {
-		return nil, nil, ErrBadTxRoot
-	}
-
 	ctx := evm.BlockContext{
 		Number: h.Number, Timestamp: h.Timestamp,
 		BaseFee: h.BaseFee, FeeRecipient: h.FeeRecipient, GasLimit: h.GasLimit,
@@ -307,19 +287,71 @@ func (c *Chain) validate(block *types.Block, postState *state.State) (*ProcessRe
 	if err != nil {
 		return nil, nil, err
 	}
-	if res.GasUsed != h.GasUsed {
-		return nil, nil, fmt.Errorf("%w: executed %d, declared %d", ErrBadGasUsed, res.GasUsed, h.GasUsed)
+	if err := checkGasUsed(h, res); err != nil {
+		return nil, nil, err
 	}
 	return res, postState, nil
 }
 
-// AcceptValidated commits a block whose validation artifacts were already
-// produced this slot round: res and postState must come from ValidateFork
-// (or an equivalent fork execution) of exactly this block against the
-// current head. The fork is folded into the canonical state in place, so the
-// block is not re-executed and no deep copy is taken — but every other fork
-// of the canonical state taken this round is invalidated. The simulator's
-// slot engine uses it to commit winners it has already validated.
+// ValidateExecuted is Validate for a block whose execution already
+// happened on a fork of the head — a builder's own packing, recorded in
+// the form Process reports it. It runs Validate's header checks and the
+// declared-gas check against res, and executes nothing. The caller vouches
+// that res is the execution of exactly block's transactions on the head
+// state; the slot engine's tests re-execute every block it adopts this way
+// to hold it to that.
+func (c *Chain) ValidateExecuted(block *types.Block, res *ProcessResult) error {
+	if err := c.checkHeader(block); err != nil {
+		return err
+	}
+	return checkGasUsed(block.Header, res)
+}
+
+// checkHeader checks block's header against the head: parent, number,
+// slot, timestamp, base fee, gas limit and transaction root.
+func (c *Chain) checkHeader(block *types.Block) error {
+	head := c.Head().Block
+	h := block.Header
+	if h.ParentHash != head.Hash() {
+		return fmt.Errorf("%w: %s", ErrUnknownParent, h.ParentHash)
+	}
+	if h.Number != head.Number()+1 {
+		return fmt.Errorf("%w: %d after %d", ErrBadNumber, h.Number, head.Number())
+	}
+	if h.Slot <= head.Header.Slot {
+		return fmt.Errorf("%w: slot %d after %d", ErrStaleSlot, h.Slot, head.Header.Slot)
+	}
+	if want := c.SlotTime(h.Slot); h.Timestamp != want {
+		return fmt.Errorf("%w: %d, slot %d implies %d", ErrBadTimestamp, h.Timestamp, h.Slot, want)
+	}
+	if want := c.NextBaseFee(); h.BaseFee != want {
+		return fmt.Errorf("%w: %s, want %s", ErrBadBaseFee, h.BaseFee, want)
+	}
+	if h.GasLimit != c.cfg.GasLimit {
+		return fmt.Errorf("%w: %d", ErrBadGasLimit, h.GasLimit)
+	}
+	if want := types.ComputeTxRoot(block.Txs); h.TxRoot != want {
+		return ErrBadTxRoot
+	}
+	return nil
+}
+
+// checkGasUsed compares the header's declared gas with the execution's.
+func checkGasUsed(h *types.Header, res *ProcessResult) error {
+	if res.GasUsed != h.GasUsed {
+		return fmt.Errorf("%w: executed %d, declared %d", ErrBadGasUsed, res.GasUsed, h.GasUsed)
+	}
+	return nil
+}
+
+// AcceptValidated commits a block that was already executed this slot
+// round: res and postState are the execution of exactly this block's
+// transactions on a direct fork of the current head — the builder's own
+// packing (checked by ValidateExecuted), BuildLocalExec's, or
+// ValidateFork's. The fork is folded into the canonical state in place, so
+// the block is not re-executed and no deep copy is taken — but every other
+// fork of the canonical state taken this round is invalidated. The
+// simulator's slot engine uses it to commit every winner it built.
 func (c *Chain) AcceptValidated(block *types.Block, res *ProcessResult, postState *state.State) (*StoredBlock, error) {
 	head := c.Head().Block
 	if block.Header.ParentHash != head.Hash() {

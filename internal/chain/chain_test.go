@@ -209,6 +209,40 @@ func TestAcceptRejectsWrongFields(t *testing.T) {
 	}
 }
 
+// TestValidateExecuted checks a block against the execution it was packed
+// with: Validate's header checks and the declared-gas check apply, and a
+// checked block commits by absorbing the packing fork.
+func TestValidateExecuted(t *testing.T) {
+	c := newTestChain()
+	blk := seal(t, c, MergeSlot+1, builderA, []*types.Transaction{transferTx(0, 2)})
+	res, st, err := c.ValidateFork(blk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.ValidateExecuted(blk, res); err != nil {
+		t.Fatalf("valid block: %v", err)
+	}
+
+	late := *blk.Header
+	late.Timestamp++
+	if err := c.ValidateExecuted(types.NewBlock(&late, blk.Txs), res); !errors.Is(err, ErrBadTimestamp) {
+		t.Errorf("timestamp: %v", err)
+	}
+	short := *res
+	short.GasUsed--
+	if err := c.ValidateExecuted(blk, &short); !errors.Is(err, ErrBadGasUsed) {
+		t.Errorf("gas used: %v", err)
+	}
+
+	stored, err := c.AcceptValidated(blk, res, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Head() != stored || c.State().Balance(builderA) != stored.Tips {
+		t.Error("absorbed block not committed")
+	}
+}
+
 func TestAcceptRejectsInvalidTx(t *testing.T) {
 	c := newTestChain()
 	// Nonce 5 is invalid for a fresh account.

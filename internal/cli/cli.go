@@ -25,9 +25,8 @@ type Config struct {
 	// Workers bounds the analysis/collection worker pools (0 = all CPUs).
 	Workers int
 	// SimWorkers sets the simulation slot engine's pool width: builder
-	// block construction and relay validations fan out over this many
-	// workers (0 = all CPUs). Every setting produces byte-identical
-	// simulation output.
+	// block construction fans out over this many workers (0 = all CPUs).
+	// Every setting produces byte-identical simulation output.
 	SimWorkers int
 	// Sequential forces the legacy full-scan analysis path (the baseline
 	// the parallel engine is measured against).

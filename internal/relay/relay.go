@@ -141,8 +141,8 @@ type DeliveredEntry struct {
 }
 
 // ChainView is the relay's validation interface onto the chain. The
-// simulator passes a caching wrapper so a block submitted to several relays
-// is executed once.
+// simulator passes a cache primed with each build's own execution, so a
+// block submitted to several relays is executed once, when it is packed.
 type ChainView interface {
 	Validate(block *types.Block) (*chain.ProcessResult, *state.State, error)
 }
@@ -220,20 +220,6 @@ func (r *Relay) RegisterValidator(reg pbs.Registration) {
 
 // ValidatorCount returns the number of registered proposers.
 func (r *Relay) ValidatorCount() int { return len(r.validators) }
-
-// ValidatorRegistration returns the proposer's registration, if any.
-func (r *Relay) ValidatorRegistration(pub types.PubKey) (pbs.Registration, bool) {
-	reg, ok := r.validators[pub]
-	return reg, ok
-}
-
-// ValidatesAt reports whether the relay runs execution validation at time t
-// (i.e. t is outside its NoBlockValidation fault windows). The simulator's
-// slot engine uses it to pre-validate exactly the blocks its relay
-// submissions would validate.
-func (r *Relay) ValidatesAt(t time.Time) bool {
-	return !inWindows(r.Faults.NoBlockValidation, t)
-}
 
 // Registrations returns the registered proposers sorted by pubkey — the
 // "proposers currently connected to the relay" listing the paper's crawler

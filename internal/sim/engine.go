@@ -10,11 +10,12 @@ package sim
 //      in builder order.
 //   B. Build (parallel): each builder constructs its block against a private
 //      copy-on-write fork of the canonical state, drawing only from its own
-//      private RNG stream, so scheduling order cannot perturb any draw.
-//   C. Validate (parallel): the distinct blocks that the commit phase's
-//      relay submissions would execute are validated concurrently on
-//      separate forks and the results primed into the shared validation
-//      cache.
+//      private RNG stream, so scheduling order cannot perturb any draw. The
+//      build records the block's execution as it packs it.
+//   C. Validate (sequential): each distinct built block's header is checked
+//      against the head, and the build's own fork and execution are primed
+//      into the shared validation cache. The relays judge the block on that
+//      execution; no block is executed a second time.
 //   D. Commit (sequential): submissions reach the relays in builder order,
 //      so order-sensitive relay state (best-bid replacement is
 //      strictly-greater) does not depend on the worker count.
@@ -51,9 +52,6 @@ type buildTask struct {
 	res  *builder.Result
 	sub  *pbs.Submission
 	ok   bool
-	// validate marks tasks whose block a relay submission in phase D would
-	// execute; only those are pre-validated in phase C.
-	validate bool
 
 	bundles   []*types.Bundle
 	candidate []*types.Transaction
@@ -71,23 +69,24 @@ type slotEngine struct {
 	par   []*buildTask // subset built in parallel (distinct builders)
 	seq   []*buildTask // exploit subset (shared exploiter RNG: built in order)
 
-	valBlocks []*types.Block
-	valRes    []cachedValidation
-	seen      map[types.Hash]bool
-
 	// sanctions is the registry's day-after-rule blacklist, shared by the
 	// filtering builders that are not aligned with a relay.
 	sanctions *ofac.Schedule
 }
 
-// newSlotEngine builds a run's slot engine over the shared validation
-// cache, with a pool of workers.
-func newSlotEngine(w *World, view *cachingView, workers int) *slotEngine {
+// adoptCheck, when set, is called for every build phase C adopts, with the
+// validation primed for it; a non-nil error aborts the run. Only the
+// package's tests set it: they re-execute each adopted block and hold the
+// recorded execution to the result.
+var adoptCheck func(c *chain.Chain, block *types.Block, adopted cachedValidation) error
+
+// newSlotEngine builds a run's slot engine over the world's shared
+// validation cache, with a pool of workers.
+func newSlotEngine(w *World, workers int) *slotEngine {
 	return &slotEngine{
 		w:         w,
-		view:      view,
+		view:      w.view,
 		workers:   workers,
-		seen:      map[types.Hash]bool{},
 		sanctions: ofac.NewSchedule(w.Sanctions, nil),
 	}
 }
@@ -106,7 +105,6 @@ func (eng *slotEngine) grabTask() *buildTask {
 	t.res = nil
 	t.sub = nil
 	t.ok = false
-	t.validate = false
 	t.bundles = t.bundles[:0]
 	t.candidate = t.candidate[:0]
 	return t
@@ -239,41 +237,28 @@ func (eng *slotEngine) runSlot(now time.Time, slot uint64, proposerPub types.Pub
 		t.sub = w.Exploiter.Submission(t.args, t.res)
 	}
 
-	// Phase C: parallel validation of exactly the distinct blocks the
-	// commit phase's submissions would execute, primed into the shared cache
-	// so the relay checks are pure cache hits.
-	clear(eng.seen)
-	eng.valBlocks = eng.valBlocks[:0]
+	// Phase C: adopt each distinct build's own execution as its
+	// validation. The header is checked against the head and the build's
+	// fork and result are primed into the shared cache, so every relay
+	// check in phase D is a cache hit and runs on that real execution.
 	for _, t := range eng.order {
 		if !t.ok {
 			continue
 		}
-		t.validate = eng.wouldValidate(t, now, proposerPub, proposerFee)
-		if !t.validate {
+		h := t.sub.Trace.BlockHash
+		if _, seen := eng.view.cache[h]; seen {
 			continue
 		}
-		h := t.sub.Trace.BlockHash
-		if !eng.seen[h] {
-			eng.seen[h] = true
-			eng.valBlocks = append(eng.valBlocks, t.sub.Block)
+		cv := cachedValidation{res: t.res.Exec, st: t.args.State}
+		if err := w.Chain.ValidateExecuted(t.res.Block, t.res.Exec); err != nil {
+			cv = cachedValidation{err: err}
 		}
-	}
-	if n := len(eng.valBlocks); n > 0 {
-		if cap(eng.valRes) < n {
-			eng.valRes = make([]cachedValidation, n)
+		if adoptCheck != nil {
+			if err := adoptCheck(w.Chain, t.res.Block, cv); err != nil {
+				return fmt.Errorf("sim: slot %d: %w", slot, err)
+			}
 		}
-		eng.valRes = eng.valRes[:n]
-		err := stats.ParallelDaysErr(context.Background(), n, eng.workers, func(i int) error {
-			res, st, verr := w.Chain.ValidateFork(eng.valBlocks[i])
-			eng.valRes[i] = cachedValidation{res: res, st: st, err: verr}
-			return nil
-		})
-		if err != nil {
-			return fmt.Errorf("sim: slot %d: parallel validate: %w", slot, err)
-		}
-		for i, b := range eng.valBlocks {
-			eng.view.prime(b.Hash(), eng.valRes[i])
-		}
+		eng.view.prime(h, cv)
 	}
 
 	// Phase D: sequential commit in builder order.
@@ -297,11 +282,11 @@ func (eng *slotEngine) runSlot(now time.Time, slot uint64, proposerPub types.Pub
 }
 
 // accept commits the slot winner without executing it a second time. A PBS
-// winner was already executed exactly once this round — in phase C, or
-// lazily by the first relay check — and its fork post-state sits in the
-// shared cache; a local block carries the artifacts accumulated while
+// winner was executed exactly once this round, by its builder, and phase C
+// put that fork post-state in the shared cache, whether or not a relay
+// validated it; a local block carries the artifacts accumulated while
 // packing. Either way the fork is absorbed into the canonical state in
-// place. A cache miss (possible only for blocks the engine did not see)
+// place. A cache miss (possible only for blocks the engine did not build)
 // falls back to the re-executing Accept.
 func (eng *slotEngine) accept(block *types.Block, local cachedValidation) (*chain.StoredBlock, error) {
 	if local.res != nil {
@@ -314,10 +299,12 @@ func (eng *slotEngine) accept(block *types.Block, local cachedValidation) (*chai
 }
 
 // release hands every state fork of the slot round back to the journal
-// pool once the winner is committed: the phase-B builds, the phase-C and
-// lazy-miss validations (the absorbed winner among them), and the extra
+// pool once the winner is committed: the phase-B builds (the absorbed
+// winner among them), any fork a cache miss validated on, and the extra
 // forks the caller passes (the searcher context and the local build). All
-// of them read through to the pre-commit state, so none is used again.
+// of them read through to the pre-commit state, so none is used again. A
+// build primed into the cache is reached twice; the second Release is a
+// no-op.
 func (eng *slotEngine) release(extra ...*state.State) {
 	for _, t := range eng.tasks[:eng.used] {
 		if t.args.State != nil {
@@ -330,43 +317,9 @@ func (eng *slotEngine) release(extra ...*state.State) {
 			hit.st.Release()
 		}
 	}
-	clear(eng.valRes)
 	for _, st := range extra {
 		if st != nil {
 			st.Release()
 		}
 	}
-}
-
-// wouldValidate predicts whether at least one relay's SubmitBlock would
-// reach its execution-validation step for the task's submission: the relay
-// must know the builder key, hold a matching proposer registration, and be
-// outside its no-validation fault windows. Signature checks are not
-// predicted; a submission that would fail one merely wastes its
-// pre-validation, it cannot corrupt the cache.
-func (eng *slotEngine) wouldValidate(t *buildTask, at time.Time,
-	proposerPub types.PubKey, proposerFee types.Address) bool {
-	check := func(name string) bool {
-		r, ok := eng.w.Relays[name]
-		if !ok {
-			return false
-		}
-		if !r.KnowsBuilder(t.sub.Trace.BuilderPubkey) {
-			return false
-		}
-		reg, ok := r.ValidatorRegistration(proposerPub)
-		if !ok || reg.FeeRecipient != proposerFee {
-			return false
-		}
-		return r.ValidatesAt(at)
-	}
-	if t.exploit {
-		return check(t.relayOne)
-	}
-	for _, name := range t.e.Spec.Profile.Relays {
-		if check(name) {
-			return true
-		}
-	}
-	return false
 }

@@ -17,7 +17,6 @@ import (
 	"github.com/ethpbs/pbslab/internal/mevboost"
 	"github.com/ethpbs/pbslab/internal/p2p"
 	"github.com/ethpbs/pbslab/internal/pbs"
-	"github.com/ethpbs/pbslab/internal/relay"
 	"github.com/ethpbs/pbslab/internal/rng"
 	"github.com/ethpbs/pbslab/internal/searcher"
 	"github.com/ethpbs/pbslab/internal/state"
@@ -61,10 +60,12 @@ type Result struct {
 	World   *World
 }
 
-// cachingView validates each distinct block once per slot round, sharing
-// the result across relays. A miss validates on a copy-on-write fork:
-// relays discard the post-state, and the cache is cleared every slot, so a
-// fork never outlives its base.
+// cachingView is the relays' shared chain view: one validation per
+// distinct block per slot round. The slot engine primes it with each
+// build's own fork and recorded execution, so a relay check is a cache hit
+// that reads the execution the builder ran. A miss (a block the engine did
+// not build) validates on a copy-on-write fork. The cache is cleared every
+// slot, so a fork never outlives its base.
 type cachingView struct {
 	c     *chain.Chain
 	cache map[types.Hash]cachedValidation
@@ -85,8 +86,8 @@ func (v *cachingView) Validate(block *types.Block) (*chain.ProcessResult, *state
 	return res, st, err
 }
 
-// prime installs a precomputed validation result (the slot engine's phase
-// C) so later relay lookups are cache hits.
+// prime installs a validation result (the slot engine's phase C adopting
+// a build's execution) so later relay lookups are cache hits.
 func (v *cachingView) prime(h types.Hash, cv cachedValidation) {
 	v.cache[h] = cv
 }
@@ -122,9 +123,8 @@ type RunOptions struct {
 	// simulation goroutine and must not touch the scenario's RNG streams.
 	OnSlot func(slot uint64)
 	// Workers sets the slot engine's pool width: builder block construction
-	// and relay block validations fan out over that many workers. 0 means
-	// GOMAXPROCS. Results are byte-identical at every setting (the digest
-	// goldens enforce it).
+	// fans out over that many workers. 0 means GOMAXPROCS. Results are
+	// byte-identical at every setting (the digest goldens enforce it).
 	Workers int
 }
 
@@ -167,23 +167,11 @@ func RunOpts(ctx context.Context, sc Scenario, opts RunOptions) (*Result, error)
 		return nil, err
 	}
 
-	// Swap every relay's chain view for the shared caching validator.
-	view := &cachingView{c: w.Chain}
-	view.reset()
-	rebuilt := map[string]*relay.Relay{}
-	for _, name := range w.RelayOrder {
-		old := w.Relays[name]
-		nr := relay.New(old.Policy, view, w.Sanctions)
-		rebuilt[name] = nr
-	}
-	w.Relays = rebuilt
-	w.registerBuilders()
-
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	eng := newSlotEngine(w, view, workers)
+	eng := newSlotEngine(w, workers)
 
 	rs := &runState{
 		ds: newDemandState(w),
@@ -266,7 +254,7 @@ func RunOpts(ctx context.Context, sc Scenario, opts RunOptions) (*Result, error)
 			}
 			continue
 		}
-		view.reset()
+		w.view.reset()
 		baseFee := w.Chain.NextBaseFee()
 		headNumber := w.Chain.Head().Block.Number()
 
@@ -428,45 +416,6 @@ func pruneStale(pool []*types.Transaction, w *World) []*types.Transaction {
 // simFeeRecipient is the placeholder coinbase searchers simulate against
 // before the actual builder is known.
 var simFeeRecipient = crypto.AddressFromSeed("sim/fee-recipient-placeholder")
-
-// registerBuilders re-wires builder registrations after the relay rebuild.
-func (w *World) registerBuilders() {
-	for _, e := range w.Builders {
-		pubs, vks := e.B.PubKeys(), e.B.VerificationKeys()
-		for _, name := range e.Spec.Profile.Relays {
-			r, ok := w.Relays[name]
-			if !ok {
-				continue
-			}
-			for i := range pubs {
-				if r.Access.Permissionless() {
-					_ = r.RegisterBuilder(pubs[i], vks[i])
-				} else {
-					r.AllowBuilder(pubs[i], vks[i])
-				}
-			}
-		}
-	}
-	for _, e := range w.SmallBuilders {
-		pubs, vks := e.B.PubKeys(), e.B.VerificationKeys()
-		for _, name := range e.Spec.Profile.Relays {
-			r := w.Relays[name]
-			if r == nil || !r.Access.Permissionless() {
-				continue
-			}
-			for i := range pubs {
-				_ = r.RegisterBuilder(pubs[i], vks[i])
-			}
-		}
-	}
-	// The exploiter is vetted wherever an exploit targets (the Eden case is
-	// the relay's own builder misreporting).
-	for _, ex := range w.Scenario.Exploits {
-		if r, ok := w.Relays[ex.Relay]; ok {
-			r.AllowBuilder(w.Exploiter.PubKeys()[0], w.Exploiter.VerificationKeys()[0])
-		}
-	}
-}
 
 // relaysFor picks (and caches) the operator's relay set for the current
 // era, weighted by era popularity.

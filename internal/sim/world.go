@@ -70,6 +70,8 @@ type World struct {
 	// namesByPub is the lazily built pubkey → builder-name index behind
 	// builderNameOf.
 	namesByPub map[types.PubKey]string
+	// view is the validation cache every relay validates through.
+	view *cachingView
 }
 
 // builderEntry pairs a builder with its scenario wiring.
@@ -248,14 +250,25 @@ func NewWorld(sc Scenario) (*World, error) {
 	w.Network = net
 
 	// --- Relays ----------------------------------------------------------
+	// Every relay validates through the shared per-slot cache.
 	w.Sanctions = ofac.DefaultList()
+	w.view = &cachingView{c: w.Chain}
+	w.view.reset()
 	for _, pol := range sc.Relays {
-		r := relay.New(pol, w.Chain, w.Sanctions)
-		w.Relays[pol.Name] = r
+		w.Relays[pol.Name] = relay.New(pol, w.view, w.Sanctions)
 		w.RelayOrder = append(w.RelayOrder, pol.Name)
 	}
-	// Builder registrations: named builders are vetted everywhere they
-	// operate; small builders join permissionless relays only.
+	w.registerBuilders()
+
+	return w, nil
+}
+
+// registerBuilders registers every builder key with the relays it may
+// submit to: named builders are vetted everywhere they operate, small
+// builders join permissionless relays only, and the exploiter is vetted
+// wherever an exploit targets (the Eden case is the relay's own builder
+// misreporting).
+func (w *World) registerBuilders() {
 	for _, e := range w.Builders {
 		pubs, vks := e.B.PubKeys(), e.B.VerificationKeys()
 		for _, name := range e.Spec.Profile.Relays {
@@ -284,8 +297,11 @@ func NewWorld(sc Scenario) (*World, error) {
 			}
 		}
 	}
-
-	return w, nil
+	for _, ex := range w.Scenario.Exploits {
+		if r, ok := w.Relays[ex.Relay]; ok {
+			r.AllowBuilder(w.Exploiter.PubKeys()[0], w.Exploiter.VerificationKeys()[0])
+		}
+	}
 }
 
 // BuilderLabels returns the public label map (fee recipient → builder

@@ -152,14 +152,15 @@ func (s *State) flattenInto(c *State) {
 }
 
 // AbsorbFork folds a fork's writes back into its base in place: the commit
-// half of the fork workflow. ValidateFork executes a block against an O(1)
-// fork; absorbing the fork afterwards yields the post-block canonical state
-// in O(touched keys) instead of the O(accounts) deep copy a Copy-based
-// commit pays. f must be a direct fork of s. Absorbing invalidates every
-// other live fork of s — their reads would now see post-block values — so
-// callers only absorb at the end of a slot round, after all speculative
-// forks are dead. The absorbed writes are not journalled; callers commit at
-// block boundaries where the journal is cleared anyway.
+// half of the fork workflow. A block is executed against an O(1) fork (a
+// builder packing it, or chain.ValidateFork); absorbing the fork afterwards
+// yields the post-block canonical state in O(touched keys) instead of the
+// O(accounts) deep copy a Copy-based commit pays. f must be a direct fork
+// of s. Absorbing invalidates every other live fork of s — their reads
+// would now see post-block values — so callers only absorb at the end of a
+// slot round, after all speculative forks are dead. The absorbed writes
+// are not journalled; callers commit at block boundaries where the journal
+// is cleared anyway.
 func (s *State) AbsorbFork(f *State) error {
 	if f.base != s {
 		return fmt.Errorf("state: AbsorbFork of a state that is not a direct fork of the receiver")
@@ -182,10 +183,10 @@ func (s *State) AbsorbFork(f *State) error {
 
 // Fork returns a copy-on-write view of s in O(1): reads fall through to s
 // until the fork writes a key, and every mutation stays in the fork. The
-// parallel slot engine hands each speculative execution (builder blocks,
-// relay validations, searcher probes) its own fork of the canonical state;
-// s must stay unmutated while the fork is alive, which also makes several
-// forks of one base safe to use from different goroutines. The fork's undo
+// slot engine hands each speculative execution (builder blocks, the local
+// block, searcher probes) its own fork of the canonical state; s must stay
+// unmutated while the fork is alive, which also makes several forks of one
+// base safe to use from different goroutines. The fork's undo
 // journal reuses an array a Released fork gave back, when one is pooled.
 func (s *State) Fork() *State {
 	f := &State{
@@ -230,22 +231,30 @@ func (s *State) Release() {
 // journal is not captured: checkpoints are taken at block boundaries where
 // it is empty (ClearJournal runs after every Accept). Forks are flattened.
 func (s *State) Export() Snapshot {
-	flat := s
 	if s.base != nil {
-		flat = s.Copy()
+		return s.Copy().Writes()
 	}
+	return s.Writes()
+}
+
+// Writes returns the state's own entries as a Snapshot, without reading
+// through to a base: for a fork, exactly the writes it holds over its base
+// (zero storage writes included, as the tombstones they are); for a plain
+// state, all of it. Two forks of one base that hold equal Writes read
+// identically.
+func (s *State) Writes() Snapshot {
 	sn := Snapshot{
-		Balances: make(map[types.Address]types.Wei, len(flat.balances)),
-		Nonces:   make(map[types.Address]uint64, len(flat.nonces)),
-		Storage:  make(map[Slot]u256.Int, len(flat.storage)),
+		Balances: make(map[types.Address]types.Wei, len(s.balances)),
+		Nonces:   make(map[types.Address]uint64, len(s.nonces)),
+		Storage:  make(map[Slot]u256.Int, len(s.storage)),
 	}
-	for a, v := range flat.balances {
+	for a, v := range s.balances {
 		sn.Balances[a] = v
 	}
-	for a, v := range flat.nonces {
+	for a, v := range s.nonces {
 		sn.Nonces[a] = v
 	}
-	for k, v := range flat.storage {
+	for k, v := range s.storage {
 		sn.Storage[k] = v
 	}
 	return sn

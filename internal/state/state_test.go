@@ -2,6 +2,7 @@ package state
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"github.com/ethpbs/pbslab/internal/crypto"
@@ -327,6 +328,36 @@ func TestForkSnapshotRevert(t *testing.T) {
 	}
 	if !f.Get(pool, "r1").IsZero() || f.Nonce(bob) != 0 {
 		t.Error("fork revert left stray writes")
+	}
+}
+
+// TestForkWrites checks Writes lists a fork's own writes and nothing of
+// its base: a deletion as its zero tombstone, a reverted write not at all.
+func TestForkWrites(t *testing.T) {
+	s := New()
+	s.SetBalance(alice, types.Ether(5))
+	s.Set(pool, "r0", u256.New(100))
+	s.Set(pool, "r1", u256.New(7))
+
+	f := s.Fork()
+	f.Credit(alice, types.Ether(1))
+	f.Set(pool, "r0", u256.Zero)
+	snap := f.Snapshot()
+	f.IncNonce(bob)
+	f.Set(pool, "r1", u256.New(8))
+	f.RevertTo(snap)
+
+	got := f.Writes()
+	want := Snapshot{
+		Balances: map[types.Address]types.Wei{alice: types.Ether(6)},
+		Nonces:   map[types.Address]uint64{},
+		Storage:  map[Slot]u256.Int{{pool, "r0"}: u256.Zero},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("fork writes = %v, want %v", got, want)
+	}
+	if n := len(s.Writes().Storage); n != 2 {
+		t.Errorf("base writes hold %d slots, want its 2", n)
 	}
 }
 

@@ -1,15 +1,22 @@
 package core_test
 
-// Golden byte-identity test for the parallel analysis engine: the indexed,
-// memoized, worker-pooled path must render every artifact byte-for-byte
-// identically to the legacy sequential full-scan path. This is the
-// engine's central contract (DESIGN.md §6) — any float reassociation,
-// shard-boundary mistake, or map-order leak shows up here as a diff.
+// Golden byte-identity tests for the analysis engine: every render must
+// hash to the SHA-256 committed in testdata/digests.json, whatever the
+// worker count and whether the corpus comes from memory or is streamed
+// from disk. This is the engine's central contract (DESIGN.md §6) — any
+// float reassociation, shard-boundary mistake, or map-order leak shows up
+// here as a digest mismatch, with the per-artifact listing that explains
+// it. A deliberate output change edits the JSON by hand.
 
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
+	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -19,6 +26,11 @@ import (
 	"github.com/ethpbs/pbslab/internal/report"
 	"github.com/ethpbs/pbslab/internal/sim"
 )
+
+// digestFile pins, per goldenDataset seed (4 days), the SHA-256 of a
+// sha256sum-style listing ("<sha256>  <name>" per artifact, in render
+// order) of report.RenderAll's output.
+const digestFile = "testdata/digests.json"
 
 // goldenDataset simulates a short window for one seed.
 func goldenDataset(t testing.TB, seed uint64, days int) *sim.Result {
@@ -38,55 +50,50 @@ func goldenDataset(t testing.TB, seed uint64, days int) *sim.Result {
 	return res
 }
 
+// checkRenderDigest renders a at the given worker count and compares the
+// listing digest with the one pinned for seed.
+func checkRenderDigest(t *testing.T, seed uint64, input string, a *core.Analysis, workers int) {
+	t.Helper()
+	raw, err := os.ReadFile(digestFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pinned map[string]string
+	if err := json.Unmarshal(raw, &pinned); err != nil {
+		t.Fatalf("%s: %v", digestFile, err)
+	}
+	var listing strings.Builder
+	for _, art := range report.RenderAll(a, workers) {
+		if art.Err != nil {
+			t.Fatalf("%s: render %s: %v", input, art.Name, art.Err)
+		}
+		sum := sha256.Sum256(art.Data)
+		fmt.Fprintf(&listing, "%s  %s\n", hex.EncodeToString(sum[:]), art.Name)
+	}
+	sum := sha256.Sum256([]byte(listing.String()))
+	key := fmt.Sprintf("seed%d", seed)
+	if got := hex.EncodeToString(sum[:]); got != pinned[key] {
+		t.Errorf("%s: render digest %s, %s pins %q for %s\n%s",
+			input, got, digestFile, pinned[key], key, listing.String())
+	}
+}
+
+// TestParallelMatchesSequentialGolden renders each seed at one, two and
+// eight workers; every render must match the committed digest.
 func TestParallelMatchesSequentialGolden(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			res := goldenDataset(t, seed, 4)
 			labels := res.World.BuilderLabels()
-
 			seq := core.New(res.Dataset, core.WithBuilderLabels(labels), core.WithSequential())
-			par := core.New(res.Dataset, core.WithBuilderLabels(labels), core.WithWorkers(8))
-
-			want := report.RenderAll(seq, 1)
-			got := report.RenderAll(par, 8)
-
-			if len(want) != len(got) {
-				t.Fatalf("artifact count: sequential %d, parallel %d", len(want), len(got))
-			}
-			for i := range want {
-				if want[i].Name != got[i].Name {
-					t.Fatalf("artifact %d: name %q vs %q", i, want[i].Name, got[i].Name)
-				}
-				if !bytes.Equal(want[i].Data, got[i].Data) {
-					t.Errorf("%s: parallel render differs from sequential (%d vs %d bytes)\n--- sequential ---\n%s\n--- parallel ---\n%s",
-						want[i].Name, len(want[i].Data), len(got[i].Data),
-						firstDiffContext(want[i].Data, got[i].Data), firstDiffContext(got[i].Data, want[i].Data))
-				}
+			checkRenderDigest(t, seed, "sequential", seq, 1)
+			for _, w := range []int{1, 2, 8} {
+				a := core.New(res.Dataset, core.WithBuilderLabels(labels), core.WithWorkers(w))
+				checkRenderDigest(t, seed, fmt.Sprintf("workers=%d", w), a, w)
 			}
 		})
 	}
-}
-
-// firstDiffContext returns a small window around the first differing byte.
-func firstDiffContext(a, b []byte) string {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	i := 0
-	for i < n && a[i] == b[i] {
-		i++
-	}
-	lo := i - 80
-	if lo < 0 {
-		lo = 0
-	}
-	hi := i + 80
-	if hi > len(a) {
-		hi = len(a)
-	}
-	return fmt.Sprintf("...%s...", a[lo:hi])
 }
 
 // TestEngineRace hammers the memoized engine from many goroutines while the

@@ -1,14 +1,12 @@
 package core_test
 
 // Golden byte-identity test for the out-of-core path: an analysis built by
-// streaming a chunked on-disk corpus one day at a time must render every
-// artifact byte-for-byte identically to the in-memory analysis of the same
-// dataset (DESIGN.md §11). Any drift in the per-day merge, the streamed
-// inclusion-delay accumulation, or the stripped-block bookkeeping shows up
-// here as a diff.
+// streaming a chunked on-disk corpus one day at a time must render to the
+// committed digest (DESIGN.md §11). Any drift in the disk codec, the
+// streamed inclusion-delay accumulation, or the stripped-block bookkeeping
+// shows up here as a digest mismatch.
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"reflect"
@@ -16,7 +14,6 @@ import (
 
 	"github.com/ethpbs/pbslab/internal/core"
 	"github.com/ethpbs/pbslab/internal/dsio"
-	"github.com/ethpbs/pbslab/internal/report"
 )
 
 func TestStreamingMatchesInMemoryGolden(t *testing.T) {
@@ -41,31 +38,14 @@ func TestStreamingMatchesInMemoryGolden(t *testing.T) {
 					len(rep.Violations), rep.Violations[0])
 			}
 
-			mem := core.New(res.Dataset, core.WithBuilderLabels(labels), core.WithWorkers(4))
 			streamed, err := core.NewStreaming(context.Background(), r, core.WithWorkers(4))
 			if err != nil {
 				t.Fatal(err)
 			}
-
 			if got, want := streamed.Counts(), res.Dataset.Count(); !reflect.DeepEqual(got, want) {
 				t.Errorf("streamed counts differ:\n%+v\nvs\n%+v", got, want)
 			}
-
-			want := report.RenderAll(mem, 4)
-			got := report.RenderAll(streamed, 4)
-			if len(want) != len(got) {
-				t.Fatalf("artifact count: in-memory %d, streamed %d", len(want), len(got))
-			}
-			for i := range want {
-				if want[i].Name != got[i].Name {
-					t.Fatalf("artifact %d: name %q vs %q", i, want[i].Name, got[i].Name)
-				}
-				if !bytes.Equal(want[i].Data, got[i].Data) {
-					t.Errorf("%s: streamed render differs from in-memory (%d vs %d bytes)\n--- in-memory ---\n%s\n--- streamed ---\n%s",
-						want[i].Name, len(want[i].Data), len(got[i].Data),
-						firstDiffContext(want[i].Data, got[i].Data), firstDiffContext(got[i].Data, want[i].Data))
-				}
-			}
+			checkRenderDigest(t, seed, "streamed from disk", streamed, 4)
 		})
 	}
 }

@@ -11,7 +11,6 @@
 //
 //	PBSLAB_BENCH_DAYS            window length (default 0 = full window)
 //	PBSLAB_BENCH_BLOCKS_PER_DAY  slot density  (default 6)
-//	PBSLAB_BENCH_SEQUENTIAL      1 = legacy full-scan analysis baseline
 package pbslab_test
 
 import (
@@ -63,16 +62,9 @@ func fixture(b *testing.B) (*core.Analysis, *sim.Result) {
 		}
 		// WithoutMemo: per-figure benchmarks loop b.N times and must
 		// measure the computation, not a cached-result lookup.
-		// PBSLAB_BENCH_SEQUENTIAL=1 pins the legacy full-scan path so the
-		// same suite yields the per-artifact baseline column.
-		opts := []core.Option{
+		fixtureA = core.New(fixtureRes.Dataset,
 			core.WithBuilderLabels(fixtureRes.World.BuilderLabels()),
-			core.WithoutMemo(),
-		}
-		if os.Getenv("PBSLAB_BENCH_SEQUENTIAL") == "1" {
-			opts = append(opts, core.WithSequential())
-		}
-		fixtureA = core.New(fixtureRes.Dataset, opts...)
+			core.WithoutMemo())
 	})
 	if fixtureErr != nil {
 		b.Fatal(fixtureErr)
@@ -94,10 +86,10 @@ func BenchmarkTable1Datasets(b *testing.B) {
 	a, _ := fixture(b)
 	var last int
 	for i := 0; i < b.N; i++ {
-		c := a.Dataset().Count()
+		c := a.Counts()
 		last = c.Transactions
 	}
-	c := a.Dataset().Count()
+	c := a.Counts()
 	report(b, "blocks", float64(c.Blocks))
 	report(b, "txs", float64(last))
 	report(b, "mev_labels", float64(c.MEVLabelsUnion))
@@ -314,7 +306,7 @@ func BenchmarkFigure13BlockSize(b *testing.B) {
 }
 
 func BenchmarkFigure14PrivateTxs(b *testing.B) {
-	a, _ := fixture(b)
+	a, res := fixture(b)
 	var v core.ValueSplit
 	for i := 0; i < b.N; i++ {
 		v = a.Figure14PrivateTxShare()
@@ -326,7 +318,7 @@ func BenchmarkFigure14PrivateTxs(b *testing.B) {
 	// Peak over the whole episode window: individual days depend on which
 	// slots AnkrPool happened to propose.
 	peak := 0.0
-	for d := a.Dataset().Day(sim.BinanceFlowStart); d <= a.Dataset().Day(sim.BinanceFlowEnd); d++ {
+	for d := res.Dataset.Day(sim.BinanceFlowStart); d <= res.Dataset.Day(sim.BinanceFlowEnd); d++ {
 		if x := v.Local.Day(d); !math.IsNaN(x) && x > peak {
 			peak = x
 		}
@@ -630,34 +622,12 @@ func BenchmarkExtensionInclusionDelay(b *testing.B) {
 //
 // The engine splits analysis into a build stage (classify every block, then
 // one fused index pass — EngineIndexBuild) and a render stage (regenerate
-// all 19 artifacts from the built analysis — EngineRegen*). The regen pair
-// compares the render stage only, with construction excluded from the
-// timer in both cases: the legacy path pays a full corpus scan per figure
-// on every render, the indexed path answers from the single-pass index.
-// The golden test guarantees both produce byte-identical artifacts;
-// derived.figure_regen_speedup in BENCH_pr2.json is scan ns/op ÷ indexed
-// ns/op, and EngineIndexBuild reports the one-time cost the index path
-// pays up front.
+// all 19 artifacts from the built analysis — EngineRegenIndexed, with
+// construction excluded from the timer). derived.index_build_share_of_regen
+// in BENCH_pr2.json is build ns/op ÷ render ns/op.
 
-// BenchmarkEngineRegenScan renders every artifact (19 figure CSVs plus
-// tables.txt) through the legacy path: repeated full scans per figure, no
-// index, no memoization, one render worker. This is what every render cost
-// before the engine existed.
-func BenchmarkEngineRegenScan(b *testing.B) {
-	_, res := fixture(b)
-	a := core.New(res.Dataset,
-		core.WithBuilderLabels(res.World.BuilderLabels()),
-		core.WithSequential(), core.WithoutMemo())
-	b.ResetTimer()
-	var arts []artifacts.Artifact
-	for i := 0; i < b.N; i++ {
-		arts = artifacts.RenderAll(a, 1)
-	}
-	report(b, "artifacts", float64(len(arts)))
-}
-
-// BenchmarkEngineRegenIndexed renders the same artifact set from the
-// single-pass index through the bounded worker pool. WithoutMemo keeps the
+// BenchmarkEngineRegenIndexed renders every artifact (19 figure CSVs plus
+// tables.txt) from the single-pass index through the bounded worker pool. WithoutMemo keeps the
 // per-iteration work honest: every iteration recomputes each artifact from
 // the index rather than returning a cached result.
 func BenchmarkEngineRegenIndexed(b *testing.B) {

@@ -3,7 +3,7 @@
 // It parses the standard benchmark line format — name, iteration count,
 // ns/op, then any custom b.ReportMetric pairs — plus the goos/goarch/cpu
 // header, and derives the headline ratios the DESIGN.md experiments track:
-// figure_regen_speedup (§6), the serving plane's
+// index_build_share_of_regen (§6), the serving plane's
 // overload contract serve_shed_rate_16x / serve_p99_ratio_16x_vs_1x (§9),
 // the out-of-core scale contract scale_rss_ratio_100x_vs_1x (§11), and the
 // sustained-load serving-tier contract sustained_speedup_vs_pr5 /
@@ -46,7 +46,7 @@ type Record struct {
 
 // benchLine matches e.g.
 //
-//	BenchmarkEngineRegenScan-8   3   412ms ns/op   19.00 artifacts
+//	BenchmarkEngineRegenIndexed-8   3   412ms ns/op   19.00 artifacts
 //
 // The -8 GOMAXPROCS suffix is optional (absent on single-CPU runs).
 var benchLine = regexp.MustCompile(`^Benchmark(\S+?)(?:-\d+)?\s+(\d+)\s+(.*)$`)
@@ -104,14 +104,7 @@ func parse(r io.Reader) (*Record, error) {
 
 // derive fills rec.Derived with ratios of interest where both sides exist.
 func derive(rec *Record) {
-	scan, okS := rec.Benchmarks["EngineRegenScan"]
 	idx, okI := rec.Benchmarks["EngineRegenIndexed"]
-	if okS && okI && idx.NsPerOp > 0 {
-		if rec.Derived == nil {
-			rec.Derived = map[string]float64{}
-		}
-		rec.Derived["figure_regen_speedup"] = scan.NsPerOp / idx.NsPerOp
-	}
 	if build, ok := rec.Benchmarks["EngineIndexBuild"]; ok && okI && idx.NsPerOp > 0 {
 		if rec.Derived == nil {
 			rec.Derived = map[string]float64{}

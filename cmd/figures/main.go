@@ -11,13 +11,14 @@
 // Usage:
 //
 //	figures -out DIR [-days N] [-blocks-per-day N] [-seed N]
-//	        [-workers N] [-sim-workers N] [-sequential]
+//	        [-workers N] [-sim-workers N] [-scale N]
 //	        [-private-flow F] [-small-builders N] [-relay-outages SPEC]
 //	        [-ofac-lag SPEC]
 //	        [-checkpoint-dir DIR] [-resume] [-timeout D]
 //
-// -sim-workers sets the width of the simulation slot engine's worker pool
-// (0 = all CPUs); the artifacts are byte-identical at every width. The
+// -workers sets the width of the analysis worker pool and -sim-workers
+// that of the simulation slot engine (0 = all CPUs); the artifacts are
+// byte-identical at every width. The
 // scenario knobs (-private-flow, -small-builders, -relay-outages,
 // -ofac-lag) share syntax and validation with cmd/pbslab and the pbsfleet
 // experiment grid; a malformed value is an error before the simulation

@@ -6,8 +6,7 @@
 // Usage:
 //
 //	pbslab [-days N] [-blocks-per-day N] [-seed N] [-workers N]
-//	       [-sim-workers N] [-sequential] [-figures DIR] [-dump-dataset]
-//	       [-dataset-format chunked|blob] [-scale N]
+//	       [-sim-workers N] [-figures DIR] [-dump-dataset] [-scale N]
 //	       [-private-flow F] [-small-builders N] [-relay-outages SPEC]
 //	       [-ofac-lag SPEC]
 //	       [-quiet] [-checkpoint-dir DIR] [-resume] [-timeout D]
@@ -15,9 +14,9 @@
 //
 // The default -days 0 runs the paper's full window (2022-09-15 through
 // 2023-03-31, 198 days); smaller values truncate it for quick runs.
-// -sequential selects the legacy full-scan analysis baseline, and
-// -sim-workers sets the width of the simulation slot engine's worker pool
-// (0 = all CPUs); output is byte-identical at every setting.
+// -workers sets the width of the analysis worker pool and -sim-workers
+// that of the simulation slot engine (0 = all CPUs); output is
+// byte-identical at every setting.
 //
 // The scenario knobs the pbsfleet experiment grid sweeps are also plain
 // flags here, with the same syntax and validation (internal/cli.Knobs):
@@ -40,12 +39,10 @@
 //
 // -dump-dataset additionally serializes the collected corpus into the
 // figures directory, covered by the same manifest, which lets the pbslabd
-// daemon re-validate the data and answer per-day index queries. The default
-// -dataset-format chunked writes the versioned per-day segment layout
-// (dataset/index.json + dataset/common.seg + dataset/day-NNNNNN.seg) that
-// downstream consumers can stream one day at a time; -dataset-format blob
-// writes the legacy monolithic dataset.gob, which remains readable
-// everywhere.
+// daemon re-validate the data and answer per-day index queries. The corpus
+// lands in the versioned per-day segment layout (dataset/index.json +
+// dataset/common.seg + dataset/day-NNNNNN.seg) that downstream consumers
+// stream one day at a time.
 package main
 
 import (
@@ -65,7 +62,6 @@ func main() {
 	cfg := cli.Register(flag.CommandLine)
 	figuresDir := flag.String("figures", "", "write per-figure CSVs into this directory")
 	dumpDataset := flag.Bool("dump-dataset", false, "also write the serialized corpus into the -figures directory, enabling pbslabd index queries")
-	datasetFormat := flag.String("dataset-format", "chunked", "corpus serialization for -dump-dataset: chunked (per-day dataset/ segments, streamable) or blob (legacy single dataset.gob)")
 	quiet := flag.Bool("quiet", false, "suppress the text report")
 	verifyDir := flag.String("verify", "", "verify an output directory against its manifest and exit")
 	flag.Parse()
@@ -77,11 +73,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "pbslab: -dump-dataset requires -figures DIR")
 		os.Exit(2)
 	}
-	if *datasetFormat != "chunked" && *datasetFormat != "blob" {
-		fmt.Fprintf(os.Stderr, "pbslab: -dataset-format %q: want chunked or blob\n", *datasetFormat)
-		os.Exit(2)
-	}
-	os.Exit(run(cfg, *figuresDir, *dumpDataset, *datasetFormat, *quiet))
+	os.Exit(run(cfg, *figuresDir, *dumpDataset, *quiet))
 }
 
 // verify checks dir against its manifest: 0 = clean, 1 = problems found or
@@ -103,7 +95,7 @@ func verify(dir string) int {
 	return 1
 }
 
-func run(cfg *cli.Config, figuresDir string, dumpDataset bool, datasetFormat string, quiet bool) int {
+func run(cfg *cli.Config, figuresDir string, dumpDataset bool, quiet bool) int {
 	if figuresDir != "" {
 		if err := cli.EnsureOutDir(figuresDir); err != nil {
 			fmt.Fprintf(os.Stderr, "pbslab: %v\n", err)
@@ -150,26 +142,15 @@ func run(cfg *cli.Config, figuresDir string, dumpDataset bool, datasetFormat str
 		if dumpDataset {
 			// Ship the corpus under the same manifest as the figures, so a
 			// serving daemon can re-verify and re-validate everything it
-			// loads (and answer per-day index queries). The chunked layout
-			// lets pbslabd stream one day at a time; the legacy blob is kept
-			// for consumers that predate the segment format.
-			switch datasetFormat {
-			case "chunked":
-				files, err := dsio.EncodeChunked(res.Dataset, res.World.BuilderLabels())
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "pbslab: encode dataset: %v\n", err)
-					return 1
-				}
-				for _, f := range files {
-					extra = append(extra, report.Artifact{Name: f.Name, Data: f.Data})
-				}
-			case "blob":
-				data, err := dsio.Encode(res.Dataset, res.World.BuilderLabels())
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "pbslab: encode dataset: %v\n", err)
-					return 1
-				}
-				extra = append(extra, report.Artifact{Name: dsio.DatasetName, Data: data})
+			// loads (and answer per-day index queries), streaming one day
+			// at a time.
+			files, err := dsio.EncodeChunked(res.Dataset, res.World.BuilderLabels())
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "pbslab: encode dataset: %v\n", err)
+				return 1
+			}
+			for _, f := range files {
+				extra = append(extra, report.Artifact{Name: f.Name, Data: f.Data})
 			}
 		}
 		// Even on cancellation mid-render, every completed artifact is

@@ -28,9 +28,6 @@ type Config struct {
 	// block construction fans out over this many workers (0 = all CPUs).
 	// Every setting produces byte-identical simulation output.
 	SimWorkers int
-	// Sequential forces the legacy full-scan analysis path (the baseline
-	// the parallel engine is measured against).
-	Sequential bool
 	// CheckpointDir makes the simulation write a resumable checkpoint at
 	// every day boundary and on interruption ("" = no checkpoints).
 	CheckpointDir string
@@ -54,7 +51,6 @@ func Register(fs *flag.FlagSet) *Config {
 	fs.Uint64Var(&c.Seed, "seed", 1, "scenario seed")
 	fs.IntVar(&c.Workers, "workers", 0, "analysis worker pool size (0 = all CPUs)")
 	fs.IntVar(&c.SimWorkers, "sim-workers", 0, "simulation slot-engine workers (0 = all CPUs)")
-	fs.BoolVar(&c.Sequential, "sequential", false, "use the sequential full-scan analysis path (baseline)")
 	fs.StringVar(&c.CheckpointDir, "checkpoint-dir", "", "write per-day simulation checkpoints into this directory")
 	fs.BoolVar(&c.Resume, "resume", false, "resume from the newest checkpoint in -checkpoint-dir")
 	fs.DurationVar(&c.Timeout, "timeout", 0, "abort (with checkpoint) after this duration, e.g. 10m (0 = none)")
@@ -88,9 +84,6 @@ func (c *Config) Scenario() (sim.Scenario, error) {
 	sc.Seed = c.Seed
 	sc.BlocksPerDay = c.BlocksPerDay
 	sc.CollectWorkers = c.Workers
-	if c.Sequential {
-		sc.CollectWorkers = 1
-	}
 	if c.Days > 0 {
 		sc.End = sc.Start.Add(time.Duration(c.Days) * 24 * time.Hour)
 	}
@@ -121,7 +114,7 @@ func (c *Config) Simulate(ctx context.Context, onDay func(day int)) (*sim.Result
 }
 
 // Analyze runs the analysis engine over a finished simulation with the
-// configured worker pool and engine path.
+// configured worker pool.
 func (c *Config) Analyze(res *sim.Result) *core.Analysis {
 	a, err := c.AnalyzeContext(context.Background(), res)
 	if err != nil {
@@ -139,9 +132,6 @@ func (c *Config) AnalyzeContext(ctx context.Context, res *sim.Result) (*core.Ana
 	opts := []core.Option{core.WithBuilderLabels(res.World.BuilderLabels())}
 	if c.Workers > 0 {
 		opts = append(opts, core.WithWorkers(c.Workers))
-	}
-	if c.Sequential {
-		opts = append(opts, core.WithSequential())
 	}
 	return core.NewWithContext(ctx, res.Dataset, opts...)
 }

@@ -9,31 +9,30 @@
 // measured quantity (the paper's 99.6% / 92% coverage figures).
 //
 // Structurally the package is a parallel, single-pass analysis engine
-// (DESIGN.md §6). New runs two sharded stages: block classification into
-// chain-ordered BlockStats, then one fused pass that fills a per-day Index
-// (stats.DayAgg aggregates, per-cluster samples, coverage counters, the
-// inclusion-delay report). Every public figure/table method answers from
-// the index and memoizes its result, so PrintAll + WriteAll compute each
-// artifact exactly once. The legacy scan-per-figure path is kept behind
-// WithSequential as the baseline the engine is measured against; for a
-// fixed dataset both paths produce byte-identical artifacts for any worker
-// count — shards cut at day boundaries and merge in chain order, so every
-// floating-point reduction associates exactly as a sequential pass. The
-// golden test (TestParallelMatchesSequentialGolden) enforces this, and
-// WithoutMemo/WithWorkers tune benchmarking and pool width.
+// (DESIGN.md §6) with one build path, NewStreaming: it takes a DaySource
+// (a chunked corpus on disk, or an in-memory dataset served as one batch
+// by New), classifies each batch's blocks in parallel into chain-ordered
+// BlockStats, folds the transaction-level tallies, strips the blocks to
+// their headers, and finally fills a per-day Index (stats.DayAgg
+// aggregates, per-cluster samples, coverage counters) in one sharded
+// pass. Every public figure/table method answers from the index and
+// memoizes its result, so PrintAll + WriteAll compute each artifact
+// exactly once. Output is byte-identical for any worker count and either
+// corpus source — shards cut at day boundaries and merge in chain order,
+// so every floating-point reduction associates exactly as a one-worker
+// pass. The golden tests pin the rendered bytes to committed digests
+// (testdata/digests.json); WithoutMemo/WithWorkers tune benchmarking and
+// pool width.
 package core
 
 import (
 	"context"
-	"fmt"
-	"runtime"
 	"sort"
 	"time"
 
 	"github.com/ethpbs/pbslab/internal/crypto"
 	"github.com/ethpbs/pbslab/internal/dataset"
 	"github.com/ethpbs/pbslab/internal/mev"
-	"github.com/ethpbs/pbslab/internal/stats"
 	"github.com/ethpbs/pbslab/internal/types"
 	"github.com/ethpbs/pbslab/internal/u256"
 )
@@ -118,9 +117,11 @@ type Cluster struct {
 
 // Analysis is the classified dataset with precomputed per-block statistics.
 // All public figure/table methods are safe for concurrent use: they read the
-// immutable classification and the single-pass Index built by New, and
-// results are memoized behind sync.Once (unless WithoutMemo is set).
+// immutable classification and the single-pass Index built by NewStreaming,
+// and results are memoized behind sync.Once (unless WithoutMemo is set).
 type Analysis struct {
+	// ds is the blocks-free corpus shell (relays, labels, arrivals,
+	// sanctions); the blocks live on as stripped headers in stats.
 	ds     *dataset.Dataset
 	stats  []*BlockStat
 	byNum  map[uint64]*BlockStat
@@ -129,34 +130,22 @@ type Analysis struct {
 
 	clusters map[types.Address]*Cluster
 
-	workers    int
-	sequential bool
-	noMemo     bool
+	workers int
+	noMemo  bool
 
-	// preDelay, when non-nil, is the inclusion-delay report the streaming
-	// build accumulated during its one transaction-level pass; buildIndex
-	// uses it instead of re-walking transactions (which a streamed corpus
-	// no longer holds).
-	preDelay *DelayReport
-	// streamCounts, when non-nil, replaces the dataset's memoized Count()
-	// walk for the same reason.
-	streamCounts *dataset.Counts
+	// counts is the Table 1 inventory; the build accumulated the
+	// block-level tallies while the transactions were still resident.
+	counts dataset.Counts
 
 	idx  *Index
 	memo figMemo
 }
 
-// Counts returns the corpus Table 1 inventory. The in-memory path defers
-// to the dataset's memoized walk; the streaming build accumulated the
-// block-level tallies during its pass, since the transactions are no
-// longer resident afterwards.
+// Counts returns the corpus Table 1 inventory.
 func (a *Analysis) Counts() dataset.Counts {
-	if a.streamCounts == nil {
-		return a.ds.Count()
-	}
-	c := *a.streamCounts
-	c.MEVBySource = make(map[string]int, len(a.streamCounts.MEVBySource))
-	for name, n := range a.streamCounts.MEVBySource {
+	c := a.counts
+	c.MEVBySource = make(map[string]int, len(a.counts.MEVBySource))
+	for name, n := range a.counts.MEVBySource {
 		c.MEVBySource[name] = n
 	}
 	return c
@@ -187,15 +176,6 @@ func WithWorkers(n int) Option {
 	}
 }
 
-// WithSequential selects the legacy full-scan analysis path: no index, no
-// worker pool — every figure re-scans the corpus exactly as the original
-// sequential implementation did. It is the reference the parallel engine is
-// tested against (byte-identical output) and the baseline the benchmarks
-// compare with.
-func WithSequential() Option {
-	return func(a *Analysis) { a.sequential = true }
-}
-
 // WithoutMemo disables result memoization, so every figure/table call
 // recomputes from scratch. Benchmarks use this to measure steady-state cost
 // rather than a single cached lookup.
@@ -203,10 +183,9 @@ func WithoutMemo() Option {
 	return func(a *Analysis) { a.noMemo = true }
 }
 
-// New runs the classification pass over the dataset. Blocks are classified
-// in parallel (each slot of the stats slice is owned by one worker), then
-// the single-pass Index is built over day-aligned shards and merged in
-// shard order, which keeps every float accumulation in chain order.
+// New runs the classification pass over an in-memory dataset and builds
+// the single-pass Index: NewStreaming over the dataset served as one
+// batch, so classification shards across the whole corpus.
 //
 // A worker panic surfaces as a panic on the caller's goroutine (wrapped in
 // *stats.WorkerPanicError) rather than crashing the process from a pool
@@ -225,60 +204,10 @@ func New(ds *dataset.Dataset, opts ...Option) *Analysis {
 // passes stop early when ctx is cancelled, and a panic inside a worker
 // comes back as a *stats.WorkerPanicError instead of killing the process.
 func NewWithContext(ctx context.Context, ds *dataset.Dataset, opts ...Option) (*Analysis, error) {
-	a := &Analysis{
-		ds:       ds,
-		byNum:    map[uint64]*BlockStat{},
-		byHash:   map[types.Hash]*BlockStat{},
-		labels:   map[types.Address]string{},
-		clusters: map[types.Address]*Cluster{},
-		workers:  runtime.GOMAXPROCS(0),
-	}
-	for _, opt := range opts {
-		opt(a)
-	}
-	if a.sequential {
-		a.workers = 1
-	}
-
-	claims := indexRelayClaims(ds)
-	mevByBlock := indexMEV(ds)
-
-	a.stats = make([]*BlockStat, len(ds.Blocks))
-	shards := shardRanges(len(ds.Blocks), a.workers)
-	err := stats.ParallelDaysErr(ctx, len(shards), a.workers, func(s int) error {
-		for i := shards[s][0]; i < shards[s][1]; i++ {
-			b := ds.Blocks[i]
-			a.stats[i] = a.classify(b, claims[b.Hash], mevByBlock[b.Number])
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("core: classify: %w", err)
-	}
-	for _, st := range a.stats {
-		a.byNum[st.Block.Number] = st
-		a.byHash[st.Block.Hash] = st
-	}
-	a.buildClusters()
-	for _, st := range a.stats {
-		if st.PBS {
-			if c, ok := a.clusters[st.Block.FeeRecipient]; ok {
-				st.BuilderCluster = c.Name
-				c.Blocks++
-			}
-		}
-	}
-	if !a.sequential {
-		idx, err := buildIndex(ctx, a)
-		if err != nil {
-			return nil, fmt.Errorf("core: index: %w", err)
-		}
-		a.idx = idx
-	}
-	return a, nil
+	return NewStreaming(ctx, memSource{ds}, opts...)
 }
 
-// Workers returns the analysis worker-pool size (1 when sequential).
+// Workers returns the analysis worker-pool size.
 func (a *Analysis) Workers() int { return a.workers }
 
 // shardRanges splits [0, n) into at most k contiguous half-open ranges.
@@ -301,9 +230,6 @@ func shardRanges(n, k int) [][2]int {
 	}
 	return out
 }
-
-// Dataset returns the underlying corpus.
-func (a *Analysis) Dataset() *dataset.Dataset { return a.ds }
 
 // Blocks returns the per-block statistics in chain order.
 func (a *Analysis) Blocks() []*BlockStat { return a.stats }

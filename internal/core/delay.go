@@ -17,39 +17,3 @@ type DelayReport struct {
 	// MeanRatio is SanctionedMean / RegularMean.
 	MeanRatio float64
 }
-
-// InclusionDelay measures waiting times for every publicly observed
-// transaction. Transactions never seen by an observer (private flow) have
-// no public waiting time and are excluded, as in the paper's methodology.
-func (a *Analysis) scanInclusionDelay() DelayReport {
-	var regular, sanctioned []float64
-	for _, st := range a.stats {
-		b := st.Block
-		for _, tx := range b.Txs {
-			obs, ok := a.ds.Arrivals[tx.Hash()]
-			if !ok {
-				continue
-			}
-			first, seen := obs.FirstSeen()
-			if !seen || first.After(b.Time) {
-				continue
-			}
-			wait := b.Time.Sub(first).Seconds()
-			isSanctioned := a.ds.Sanctions.IsSanctioned(tx.From, b.Time) ||
-				a.ds.Sanctions.IsSanctioned(tx.To, b.Time)
-			if isSanctioned {
-				sanctioned = append(sanctioned, wait)
-			} else {
-				regular = append(regular, wait)
-			}
-		}
-	}
-	rep := DelayReport{
-		Regular:    stats.BoxOf(regular),
-		Sanctioned: stats.BoxOf(sanctioned),
-	}
-	if rep.Regular.Mean > 0 {
-		rep.MeanRatio = rep.Sanctioned.Mean / rep.Regular.Mean
-	}
-	return rep
-}

@@ -8,14 +8,15 @@ import (
 )
 
 // This file is the public face of the analysis engine. Every figure/table
-// method dispatches to either the single-pass Index (the default) or the
-// legacy sequential scan (WithSequential), and memoizes the result behind a
-// sync.Once so repeated renders — tables.txt recomputes most of what the CSV
-// artifacts also need — pay for each computation exactly once.
+// method answers from the single-pass Index (or, for the relay tables, a
+// scan of the stripped block stats) and memoizes the result behind a
+// sync.Once so repeated renders — tables.txt recomputes most of what the
+// CSV artifacts also need — pay for each computation exactly once.
 //
-// Determinism contract: for a given dataset, both paths return bit-identical
-// values (covered by the golden test in golden_test.go). Returned slices and
-// maps are shared between callers once memoized; treat them as read-only.
+// Determinism contract: for a given dataset, every worker count and corpus
+// source returns bit-identical values (the golden tests pin the rendered
+// bytes to committed digests). Returned slices and maps are shared between
+// callers once memoized; treat them as read-only.
 
 // memoOf caches a single computed value.
 type memoOf[T any] struct {
@@ -102,117 +103,72 @@ type figMemo struct {
 
 // Figure3PaymentShares computes the daily payment decomposition (Figure 3).
 func (a *Analysis) Figure3PaymentShares() PaymentShares {
-	return memoized(a, &a.memo.fig3, func() PaymentShares {
-		if a.idx != nil {
-			return a.idx.figure3()
-		}
-		return a.scanFigure3PaymentShares()
-	})
+	return memoized(a, &a.memo.fig3, a.idx.figure3)
 }
 
 // Figure4PBSShare computes the daily share of blocks classified as PBS.
 func (a *Analysis) Figure4PBSShare() stats.Series {
 	return memoized(a, &a.memo.fig4, func() stats.Series {
-		if a.idx != nil {
-			return a.idx.pbs.Share("pbs")
-		}
-		return a.scanFigure4PBSShare()
+		return a.idx.pbs.Share("pbs")
 	})
 }
 
 // Figure5RelayShares computes each relay's daily share of all blocks, with
 // multi-relay blocks attributed fractionally.
 func (a *Analysis) Figure5RelayShares() map[string]stats.Series {
-	return memoized(a, &a.memo.fig5, func() map[string]stats.Series {
-		if a.idx != nil {
-			return a.idx.figure5()
-		}
-		return a.scanFigure5RelayShares()
-	})
+	return memoized(a, &a.memo.fig5, a.idx.figure5)
 }
 
 // Figure6HHI computes the relay and builder concentration series.
 func (a *Analysis) Figure6HHI() HHISeries {
 	return memoized(a, &a.memo.fig6, func() HHISeries {
-		if a.idx != nil {
-			return HHISeries{Relays: a.idx.relayHHI.HHI(), Builders: a.idx.builderHHI.HHI()}
-		}
-		return a.scanFigure6HHI()
+		return HHISeries{Relays: a.idx.relayHHI.HHI(), Builders: a.idx.builderHHI.HHI()}
 	})
 }
 
 // Figure7BuildersPerRelay counts, per relay and day, the distinct builder
 // pubkeys that submitted blocks (from builder_blocks_received).
 func (a *Analysis) Figure7BuildersPerRelay() map[string]stats.Series {
-	return memoized(a, &a.memo.fig7, func() map[string]stats.Series {
-		if a.idx != nil {
-			return a.idxFigure7()
-		}
-		return a.scanFigure7BuildersPerRelay()
-	})
+	return memoized(a, &a.memo.fig7, a.idxFigure7)
 }
 
 // Figure8BuilderShares computes each builder cluster's daily share of all
 // blocks.
 func (a *Analysis) Figure8BuilderShares() map[string]stats.Series {
-	return memoized(a, &a.memo.fig8, func() map[string]stats.Series {
-		if a.idx != nil {
-			return a.idx.figure8()
-		}
-		return a.scanFigure8BuilderShares()
-	})
+	return memoized(a, &a.memo.fig8, a.idx.figure8)
 }
 
 // Figure9BlockValue computes daily mean block value (ETH) for PBS and
 // non-PBS blocks.
 func (a *Analysis) Figure9BlockValue() ValueSplit {
 	return memoized(a, &a.memo.fig9, func() ValueSplit {
-		if a.idx != nil {
-			return ValueSplit{PBS: a.idx.value.SeriesMean("pbs"), Local: a.idx.value.SeriesMean("local")}
-		}
-		return a.scanFigure9BlockValue()
+		return ValueSplit{PBS: a.idx.value.SeriesMean("pbs"), Local: a.idx.value.SeriesMean("local")}
 	})
 }
 
 // Figure10ProposerProfit computes the daily proposer-profit distribution.
 func (a *Analysis) Figure10ProposerProfit() ProfitBands {
-	return memoized(a, &a.memo.fig10, func() ProfitBands {
-		if a.idx != nil {
-			return a.idx.figure10()
-		}
-		return a.scanFigure10ProposerProfit()
-	})
+	return memoized(a, &a.memo.fig10, a.idx.figure10)
 }
 
 // Figures11And12BuilderBoxes computes per-cluster profit distributions for
 // the top n builders by block count.
 func (a *Analysis) Figures11And12BuilderBoxes(n int) []BuilderBox {
 	return memoizedKey(a, &a.memo.boxes, n, func() []BuilderBox {
-		if a.idx != nil {
-			return a.idx.figure11And12(n)
-		}
-		return a.scanFigures11And12BuilderBoxes(n)
+		return a.idx.figure11And12(n)
 	})
 }
 
 // Figure13BlockSize computes the block-size series.
 func (a *Analysis) Figure13BlockSize() SizeBands {
-	return memoized(a, &a.memo.fig13, func() SizeBands {
-		if a.idx != nil {
-			return a.idxFigure13()
-		}
-		return a.scanFigure13BlockSize()
-	})
+	return memoized(a, &a.memo.fig13, a.idxFigure13)
 }
 
 // Figure14PrivateTxShare computes the daily share of included transactions
 // that never appeared in the public mempool, split by PBS class.
 func (a *Analysis) Figure14PrivateTxShare() ValueSplit {
 	return memoized(a, &a.memo.fig14, func() ValueSplit {
-		if a.idx != nil {
-			return meanSplit(a.idx.priv)
-		}
-		return a.scanFigure14PrivateTxShare()
+		return meanSplit(a.idx.priv)
 	})
 }
 
@@ -220,10 +176,7 @@ func (a *Analysis) Figure14PrivateTxShare() ValueSplit {
 // block, split by PBS class.
 func (a *Analysis) Figure15MEVPerBlock() ValueSplit {
 	return memoized(a, &a.memo.fig15, func() ValueSplit {
-		if a.idx != nil {
-			return meanSplit(a.idx.mevCount)
-		}
-		return a.scanFigure15MEVPerBlock()
+		return meanSplit(a.idx.mevCount)
 	})
 }
 
@@ -231,10 +184,7 @@ func (a *Analysis) Figure15MEVPerBlock() ValueSplit {
 // attributable to MEV transactions.
 func (a *Analysis) Figure16MEVValueShare() ValueSplit {
 	return memoized(a, &a.memo.fig16, func() ValueSplit {
-		if a.idx != nil {
-			return meanSplit(a.idx.mevShare)
-		}
-		return a.scanFigure16MEVValueShare()
+		return meanSplit(a.idx.mevShare)
 	})
 }
 
@@ -242,10 +192,7 @@ func (a *Analysis) Figure16MEVValueShare() ValueSplit {
 // by relays that announce OFAC compliance.
 func (a *Analysis) Figure17CensoringShare() stats.Series {
 	return memoized(a, &a.memo.fig17, func() stats.Series {
-		if a.idx != nil {
-			return a.idx.censor.Share("censoring")
-		}
-		return a.scanFigure17CensoringShare()
+		return a.idx.censor.Share("censoring")
 	})
 }
 
@@ -253,49 +200,33 @@ func (a *Analysis) Figure17CensoringShare() stats.Series {
 // non-OFAC-compliant transactions, split by PBS class.
 func (a *Analysis) Figure18SanctionedShare() ValueSplit {
 	return memoized(a, &a.memo.fig18, func() ValueSplit {
-		if a.idx != nil {
-			return meanSplit(a.idx.sanctioned)
-		}
-		return a.scanFigure18SanctionedShare()
+		return meanSplit(a.idx.sanctioned)
 	})
 }
 
 // Figure19ProfitSplit computes the daily builder/proposer split of PBS
 // block value (Appendix C).
 func (a *Analysis) Figure19ProfitSplit() ProfitSplit {
-	return memoized(a, &a.memo.fig19, func() ProfitSplit {
-		if a.idx != nil {
-			return a.idx.figure19()
-		}
-		return a.scanFigure19ProfitSplit()
-	})
+	return memoized(a, &a.memo.fig19, a.idx.figure19)
 }
 
 // Figure20To22MEVKind computes the per-kind daily mean counts (Appendix D).
 func (a *Analysis) Figure20To22MEVKind(kind mev.Kind) ValueSplit {
 	return memoizedKey(a, &a.memo.mevKind, kind, func() ValueSplit {
-		if a.idx != nil {
-			switch kind {
-			case mev.KindSandwich:
-				return meanSplit(a.idx.sandwich)
-			case mev.KindArbitrage:
-				return meanSplit(a.idx.arbitrage)
-			default:
-				return meanSplit(a.idx.liquidation)
-			}
+		switch kind {
+		case mev.KindSandwich:
+			return meanSplit(a.idx.sandwich)
+		case mev.KindArbitrage:
+			return meanSplit(a.idx.arbitrage)
+		default:
+			return meanSplit(a.idx.liquidation)
 		}
-		return a.scanFigure20To22MEVKind(kind)
 	})
 }
 
 // ClassifierCoverage measures the classifier's own coverage (Section 4).
 func (a *Analysis) ClassifierCoverage() CoverageReport {
-	return memoized(a, &a.memo.coverage, func() CoverageReport {
-		if a.idx != nil {
-			return a.idx.cov.report()
-		}
-		return a.scanClassifierCoverage()
-	})
+	return memoized(a, &a.memo.coverage, a.idx.cov.report)
 }
 
 // RelayConcentration computes daily HHI and Gini over relay block counts.
@@ -341,10 +272,7 @@ func (a *Analysis) MEVTotals() map[mev.Kind]int {
 // publicly observed transaction, split regular vs sanctioned.
 func (a *Analysis) InclusionDelay() DelayReport {
 	return memoized(a, &a.memo.delay, func() DelayReport {
-		if a.idx != nil {
-			return a.idx.delay // precomputed in buildIndex
-		}
-		return a.scanInclusionDelay()
+		return a.idx.delay // accumulated during the build
 	})
 }
 

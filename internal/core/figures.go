@@ -2,11 +2,8 @@ package core
 
 import (
 	"math"
-	"sort"
 
-	"github.com/ethpbs/pbslab/internal/mev"
 	"github.com/ethpbs/pbslab/internal/stats"
-	"github.com/ethpbs/pbslab/internal/types"
 )
 
 // PaymentShares is Figure 3: the daily split of user payments between the
@@ -17,107 +14,10 @@ type PaymentShares struct {
 	Direct   stats.Series
 }
 
-// scanFigure3PaymentShares is the sequential full-scan path for Figure 3.
-func (a *Analysis) scanFigure3PaymentShares() PaymentShares {
-	g := stats.NewGrouped()
-	for _, st := range a.stats {
-		g.Add(st.Day, "base", types.ToEther(st.Burned))
-		tips := types.ToEther(st.Value) - types.ToEther(st.DirectTransfers)
-		g.Add(st.Day, "priority", tips)
-		g.Add(st.Day, "direct", types.ToEther(st.DirectTransfers))
-	}
-	return PaymentShares{
-		BaseFee:  g.ShareOfDay("base"),
-		Priority: g.ShareOfDay("priority"),
-		Direct:   g.ShareOfDay("direct"),
-	}
-}
-
-// scanFigure4PBSShare is the sequential full-scan path for Figure 4.
-func (a *Analysis) scanFigure4PBSShare() stats.Series {
-	g := stats.NewGrouped()
-	for _, st := range a.stats {
-		label := "local"
-		if st.PBS {
-			label = "pbs"
-		}
-		g.Add(st.Day, label, 1)
-	}
-	return g.ShareOfDay("pbs")
-}
-
-// Figure5RelayShares computes each relay's daily share of all blocks, with
-// multi-relay blocks attributed fractionally.
-func (a *Analysis) scanFigure5RelayShares() map[string]stats.Series {
-	g := stats.NewGrouped()
-	for _, st := range a.stats {
-		if len(st.RelayClaims) == 0 {
-			g.Add(st.Day, "(none)", 1)
-			continue
-		}
-		frac := 1.0 / float64(len(st.RelayClaims))
-		for _, r := range st.RelayClaims {
-			g.Add(st.Day, r, frac)
-		}
-	}
-	out := map[string]stats.Series{}
-	for _, name := range g.Groups() {
-		if name == "(none)" {
-			continue
-		}
-		out[name] = g.ShareOfDay(name)
-	}
-	return out
-}
-
 // HHISeries is Figure 6: daily concentration of relays and builders.
 type HHISeries struct {
 	Relays   stats.Series
 	Builders stats.Series
-}
-
-// scanFigure6HHI is the sequential full-scan path for Figure 6.
-func (a *Analysis) scanFigure6HHI() HHISeries {
-	relays := stats.NewGrouped()
-	builders := stats.NewGrouped()
-	for _, st := range a.stats {
-		if len(st.RelayClaims) > 0 {
-			frac := 1.0 / float64(len(st.RelayClaims))
-			for _, r := range st.RelayClaims {
-				relays.Add(st.Day, r, frac)
-			}
-		}
-		if st.PBS && st.BuilderCluster != "" {
-			builders.Add(st.Day, st.BuilderCluster, 1)
-		}
-	}
-	return HHISeries{Relays: relays.DailyHHI(), Builders: builders.DailyHHI()}
-}
-
-// Figure7BuildersPerRelay counts, per relay and day, the distinct builder
-// pubkeys that submitted blocks (from builder_blocks_received).
-func (a *Analysis) scanFigure7BuildersPerRelay() map[string]stats.Series {
-	out := map[string]stats.Series{}
-	slotDays := a.slotDayIndex()
-	for _, r := range a.ds.Relays {
-		perDay := map[int]map[types.PubKey]bool{}
-		for _, tr := range r.Received {
-			day, ok := slotDays[tr.Slot]
-			if !ok {
-				continue
-			}
-			if perDay[day] == nil {
-				perDay[day] = map[types.PubKey]bool{}
-			}
-			perDay[day][tr.BuilderPubkey] = true
-		}
-		g := stats.NewGrouped()
-		for day, pubs := range perDay {
-			g.Add(day, "n", float64(len(pubs)))
-		}
-		out[r.Name] = g.Reduce("n", stats.Sum)
-	}
-	return out
 }
 
 // slotDayIndex maps slots to day indexes via the block corpus.
@@ -129,81 +29,16 @@ func (a *Analysis) slotDayIndex() map[uint64]int {
 	return out
 }
 
-// Figure8BuilderShares computes each builder cluster's daily share of all
-// blocks.
-func (a *Analysis) scanFigure8BuilderShares() map[string]stats.Series {
-	g := stats.NewGrouped()
-	for _, st := range a.stats {
-		label := "(local)"
-		if st.PBS {
-			label = st.BuilderCluster
-			if label == "" {
-				label = "(unattributed)"
-			}
-		}
-		g.Add(st.Day, label, 1)
-	}
-	out := map[string]stats.Series{}
-	for _, name := range g.Groups() {
-		if name == "(local)" {
-			continue
-		}
-		out[name] = g.ShareOfDay(name)
-	}
-	return out
-}
-
 // ValueSplit is a PBS/non-PBS pair of series.
 type ValueSplit struct {
 	PBS   stats.Series
 	Local stats.Series
 }
 
-// Figure9BlockValue computes daily mean block value (ETH) for PBS and
-// non-PBS blocks (the scatter's central tendency).
-func (a *Analysis) scanFigure9BlockValue() ValueSplit {
-	g := stats.NewGrouped()
-	for _, st := range a.stats {
-		label := "local"
-		if st.PBS {
-			label = "pbs"
-		}
-		g.Add(st.Day, label, types.ToEther(st.Value))
-	}
-	return ValueSplit{
-		PBS:   g.Reduce("pbs", stats.Mean),
-		Local: g.Reduce("local", stats.Mean),
-	}
-}
-
 // ProfitBands is Figure 10: daily median proposer profit with quartiles.
 type ProfitBands struct {
 	PBSMedian, PBSQ1, PBSQ3       stats.Series
 	LocalMedian, LocalQ1, LocalQ3 stats.Series
-}
-
-// scanFigure10ProposerProfit is the sequential full-scan path for Figure 10.
-func (a *Analysis) scanFigure10ProposerProfit() ProfitBands {
-	g := stats.NewGrouped()
-	for _, st := range a.stats {
-		label := "local"
-		if st.PBS {
-			label = "pbs"
-		}
-		g.Add(st.Day, label, types.ToEther(st.ProposerProfit()))
-	}
-	q := func(p float64) func([]float64) float64 {
-		return func(v []float64) float64 { return stats.Quantile(v, p) }
-	}
-	return ProfitBands{
-		PBSMedian: g.Reduce("pbs", stats.Median),
-		PBSQ1:     g.Reduce("pbs", q(0.25)),
-		PBSQ3:     g.Reduce("pbs", q(0.75)),
-
-		LocalMedian: g.Reduce("local", stats.Median),
-		LocalQ1:     g.Reduce("local", q(0.25)),
-		LocalQ3:     g.Reduce("local", q(0.75)),
-	}
 }
 
 // BuilderBox is one builder's profit distribution (Figures 11/12).
@@ -214,179 +49,11 @@ type BuilderBox struct {
 	Proposer stats.Box // proposer payment per block, ETH
 }
 
-// Figures11And12BuilderBoxes computes per-cluster profit distributions for
-// the top n builders by block count.
-func (a *Analysis) scanFigures11And12BuilderBoxes(n int) []BuilderBox {
-	builderSamples := map[string][]float64{}
-	proposerSamples := map[string][]float64{}
-	blocks := map[string]int{}
-	for _, st := range a.stats {
-		if !st.PBS || st.BuilderCluster == "" {
-			continue
-		}
-		c := st.BuilderCluster
-		builderSamples[c] = append(builderSamples[c], st.BuilderProfitETH())
-		proposerSamples[c] = append(proposerSamples[c], types.ToEther(st.Payment))
-		blocks[c]++
-	}
-	names := make([]string, 0, len(blocks))
-	for c := range blocks {
-		names = append(names, c)
-	}
-	sort.Slice(names, func(i, j int) bool {
-		if blocks[names[i]] != blocks[names[j]] {
-			return blocks[names[i]] > blocks[names[j]]
-		}
-		return names[i] < names[j]
-	})
-	if n > 0 && len(names) > n {
-		names = names[:n]
-	}
-	out := make([]BuilderBox, 0, len(names))
-	for _, c := range names {
-		out = append(out, BuilderBox{
-			Cluster:  c,
-			Blocks:   blocks[c],
-			Builder:  stats.BoxOf(builderSamples[c]),
-			Proposer: stats.BoxOf(proposerSamples[c]),
-		})
-	}
-	return out
-}
-
 // SizeBands is Figure 13: daily mean gas used with standard deviation.
 type SizeBands struct {
 	PBSMean, PBSStd     stats.Series
 	LocalMean, LocalStd stats.Series
 	Target              float64
-}
-
-// scanFigure13BlockSize is the sequential full-scan path for Figure 13.
-func (a *Analysis) scanFigure13BlockSize() SizeBands {
-	g := stats.NewGrouped()
-	var target float64
-	for _, st := range a.stats {
-		label := "local"
-		if st.PBS {
-			label = "pbs"
-		}
-		g.Add(st.Day, label, float64(st.Block.GasUsed))
-		target = float64(st.Block.GasLimit) / 2
-	}
-	return SizeBands{
-		PBSMean:   g.Reduce("pbs", stats.Mean),
-		PBSStd:    g.Reduce("pbs", stats.Std),
-		LocalMean: g.Reduce("local", stats.Mean),
-		LocalStd:  g.Reduce("local", stats.Std),
-		Target:    target,
-	}
-}
-
-// Figure14PrivateTxShare computes the daily share of included transactions
-// that never appeared in the public mempool, split by PBS class.
-func (a *Analysis) scanFigure14PrivateTxShare() ValueSplit {
-	g := stats.NewGrouped()
-	for _, st := range a.stats {
-		if st.TotalTxs == 0 {
-			continue
-		}
-		label := "local"
-		if st.PBS {
-			label = "pbs"
-		}
-		g.Add(st.Day, label, float64(st.PrivateTxs)/float64(st.TotalTxs))
-	}
-	return ValueSplit{
-		PBS:   g.Reduce("pbs", stats.Mean),
-		Local: g.Reduce("local", stats.Mean),
-	}
-}
-
-// Figure15MEVPerBlock computes the daily mean count of MEV transactions per
-// block, split by PBS class.
-func (a *Analysis) scanFigure15MEVPerBlock() ValueSplit {
-	return a.mevCountSplit(func(st *BlockStat) float64 { return float64(st.MEVTxs) })
-}
-
-// Figure16MEVValueShare computes the daily mean share of block value
-// attributable to MEV transactions.
-func (a *Analysis) scanFigure16MEVValueShare() ValueSplit {
-	return a.mevCountSplit(func(st *BlockStat) float64 { return st.MEVValueShare })
-}
-
-// Figure20To22MEVKind computes the per-kind daily mean counts (Appendix D).
-func (a *Analysis) scanFigure20To22MEVKind(kind mev.Kind) ValueSplit {
-	return a.mevCountSplit(func(st *BlockStat) float64 {
-		switch kind {
-		case mev.KindSandwich:
-			return float64(st.Sandwiches)
-		case mev.KindArbitrage:
-			return float64(st.Arbitrages)
-		default:
-			return float64(st.Liquidations)
-		}
-	})
-}
-
-func (a *Analysis) mevCountSplit(metric func(*BlockStat) float64) ValueSplit {
-	g := stats.NewGrouped()
-	for _, st := range a.stats {
-		label := "local"
-		if st.PBS {
-			label = "pbs"
-		}
-		g.Add(st.Day, label, metric(st))
-	}
-	return ValueSplit{
-		PBS:   g.Reduce("pbs", stats.Mean),
-		Local: g.Reduce("local", stats.Mean),
-	}
-}
-
-// Figure17CensoringShare computes the daily share of PBS blocks delivered
-// by relays that announce OFAC compliance. Fractional attribution follows
-// Figure 5's rule.
-func (a *Analysis) scanFigure17CensoringShare() stats.Series {
-	compliant := map[string]bool{}
-	for _, r := range a.ds.Relays {
-		compliant[r.Name] = r.OFACCompliant
-	}
-	g := stats.NewGrouped()
-	for _, st := range a.stats {
-		if !st.PBS || len(st.RelayClaims) == 0 {
-			continue
-		}
-		frac := 1.0 / float64(len(st.RelayClaims))
-		for _, r := range st.RelayClaims {
-			label := "open"
-			if compliant[r] {
-				label = "censoring"
-			}
-			g.Add(st.Day, label, frac)
-		}
-	}
-	return g.ShareOfDay("censoring")
-}
-
-// Figure18SanctionedShare computes the daily share of blocks containing
-// non-OFAC-compliant transactions, split by PBS class.
-func (a *Analysis) scanFigure18SanctionedShare() ValueSplit {
-	g := stats.NewGrouped()
-	for _, st := range a.stats {
-		label := "local"
-		if st.PBS {
-			label = "pbs"
-		}
-		v := 0.0
-		if st.Sanctioned {
-			v = 1
-		}
-		g.Add(st.Day, label, v)
-	}
-	return ValueSplit{
-		PBS:   g.Reduce("pbs", stats.Mean),
-		Local: g.Reduce("local", stats.Mean),
-	}
 }
 
 // ProfitSplit is Appendix C's daily builder/proposer split of PBS block
@@ -395,46 +62,6 @@ func (a *Analysis) scanFigure18SanctionedShare() ValueSplit {
 type ProfitSplit struct {
 	BuilderShare  stats.Series
 	ProposerShare stats.Series
-}
-
-// scanFigure19ProfitSplit is the sequential full-scan path for Figure 19.
-func (a *Analysis) scanFigure19ProfitSplit() ProfitSplit {
-	type agg struct{ value, payment float64 }
-	days := map[int]*agg{}
-	minDay, maxDay := math.MaxInt32, -1
-	for _, st := range a.stats {
-		if !st.PBS {
-			continue
-		}
-		d := st.Day
-		if days[d] == nil {
-			days[d] = &agg{}
-		}
-		days[d].value += types.ToEther(st.Value)
-		days[d].payment += types.ToEther(st.Payment)
-		if d < minDay {
-			minDay = d
-		}
-		if d > maxDay {
-			maxDay = d
-		}
-	}
-	if maxDay < 0 {
-		return ProfitSplit{}
-	}
-	builderS := stats.Series{Start: minDay, Values: make([]float64, maxDay-minDay+1)}
-	proposerS := stats.Series{Start: minDay, Values: make([]float64, maxDay-minDay+1)}
-	for i := range builderS.Values {
-		day, ok := days[minDay+i]
-		if !ok || day.value == 0 {
-			builderS.Values[i] = math.NaN()
-			proposerS.Values[i] = math.NaN()
-			continue
-		}
-		proposerS.Values[i] = day.payment / day.value
-		builderS.Values[i] = 1 - day.payment/day.value
-	}
-	return ProfitSplit{BuilderShare: builderS, ProposerShare: proposerS}
 }
 
 // CoverageReport is the Section 4 classifier-coverage measurement: among
@@ -449,41 +76,6 @@ type CoverageReport struct {
 	MultiRelayClaimsShare float64
 }
 
-// scanClassifierCoverage is the sequential full-scan coverage measurement.
-func (a *Analysis) scanClassifierCoverage() CoverageReport {
-	var rep CoverageReport
-	noPayment, selfBuilt, multi := 0, 0, 0
-	claimed, paid := 0, 0
-	for _, st := range a.stats {
-		if !st.PBS {
-			continue
-		}
-		rep.PBSBlocks++
-		if len(st.RelayClaims) > 0 {
-			claimed++
-		}
-		if len(st.RelayClaims) > 1 {
-			multi++
-		}
-		if st.PaymentDetected {
-			paid++
-		} else {
-			noPayment++
-			// Builder == proposer: the fee recipient kept the whole value.
-			selfBuilt++
-		}
-	}
-	if rep.PBSBlocks > 0 {
-		rep.RelayClaimedShare = float64(claimed) / float64(rep.PBSBlocks)
-		rep.PaymentShare = float64(paid) / float64(rep.PBSBlocks)
-		rep.MultiRelayClaimsShare = float64(multi) / float64(rep.PBSBlocks)
-	}
-	if noPayment > 0 {
-		rep.NoPaymentSelfBuilt = float64(selfBuilt) / float64(noPayment)
-	}
-	return rep
-}
-
 // ConcentrationComparison contrasts HHI with the Gini coefficient for the
 // relay market, the methodological remark Section 4.1 makes: Gini measures
 // inequality among incumbents, HHI also accounts for how many players there
@@ -494,8 +86,8 @@ type ConcentrationComparison struct {
 }
 
 // scanRelayConcentration computes both daily measures over relay block
-// counts. It stays a chain-order scan on both paths: the per-day relay map
-// accumulation is the definition of the measure.
+// counts. It is a chain-order scan rather than an index aggregate: the
+// per-day relay map accumulation is the definition of the measure.
 func (a *Analysis) scanRelayConcentration() ConcentrationComparison {
 	perDay := map[int]map[string]float64{}
 	minDay, maxDay := math.MaxInt32, -1

@@ -86,8 +86,6 @@ func TestParallelMatchesSequentialGolden(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			res := goldenDataset(t, seed, 4)
 			labels := res.World.BuilderLabels()
-			seq := core.New(res.Dataset, core.WithBuilderLabels(labels), core.WithSequential())
-			checkRenderDigest(t, seed, "sequential", seq, 1)
 			for _, w := range []int{1, 2, 8} {
 				a := core.New(res.Dataset, core.WithBuilderLabels(labels), core.WithWorkers(w))
 				checkRenderDigest(t, seed, fmt.Sprintf("workers=%d", w), a, w)

@@ -11,11 +11,11 @@ import (
 
 // Index is the single-pass analysis index: every per-day aggregate the
 // figures and tables need, accumulated in ONE walk over the classified
-// corpus instead of one walk per artifact. It is built by New over
-// day-aligned shards (each worker owns a contiguous day range) and merged
-// in shard order, so every running float sum sees samples in exactly the
-// order the sequential scans add them — the foundation of the byte-identity
-// guarantee against the legacy path.
+// corpus instead of one walk per artifact. It is built by NewStreaming
+// over day-aligned shards (each worker owns a contiguous day range) and
+// merged in shard order, so every running float sum sees samples in
+// exactly chain order — the foundation of the byte-identity guarantee
+// across worker counts.
 //
 // After construction the index is read-only; all figure methods can run
 // concurrently against it.
@@ -46,8 +46,8 @@ type Index struct {
 
 	cov coverageCounts
 
-	// Inclusion-delay report, precomputed during the build so the only
-	// transaction-level render-time cost lives in the one-time pass.
+	// Inclusion-delay report, accumulated by NewStreaming while each
+	// batch's transactions were still resident.
 	delay DelayReport
 
 	// Cached group slots, identical across all shards (same constructor
@@ -60,7 +60,7 @@ type Index struct {
 }
 
 // coverageCounts are the raw Section 4 coverage tallies; shares are derived
-// at report time with the same divisions the sequential scan performs.
+// at report time.
 type coverageCounts struct {
 	pbs, claimed, multi, paid, noPayment, selfBuilt int
 }
@@ -123,7 +123,7 @@ func newIndexShell(lo, hi int, relayNames, clusterNames []string) *Index {
 }
 
 // addBlock folds one classified block into every aggregate — the fused body
-// of all the legacy per-figure scan loops.
+// of what would otherwise be one scan loop per figure.
 func (ix *Index) addBlock(st *BlockStat, compliant map[string]bool) {
 	d := st.Day
 
@@ -323,18 +323,6 @@ func buildIndex(ctx context.Context, a *Analysis) (*Index, error) {
 	}
 	dst.profit.Workers = a.workers
 	dst.gas.Workers = a.workers
-	if a.preDelay != nil {
-		// The streaming build accumulated the delay samples while the
-		// transactions were still resident; a re-walk here would find
-		// only stripped headers.
-		dst.delay = *a.preDelay
-	} else {
-		delay, err := a.idxInclusionDelay(ctx)
-		if err != nil {
-			return nil, err
-		}
-		dst.delay = delay
-	}
 	return dst, nil
 }
 
@@ -468,7 +456,7 @@ func (ix *Index) figure19() ProfitSplit {
 }
 
 // idxFigure13 reads the gas aggregate; the gas target is the last block's
-// limit over two, exactly as the sequential scan leaves it.
+// limit over two.
 func (a *Analysis) idxFigure13() SizeBands {
 	var target float64
 	if n := len(a.stats); n > 0 {
@@ -514,53 +502,4 @@ func (a *Analysis) idxFigure7() map[string]stats.Series {
 		out[r.Name] = results[i]
 	}
 	return out
-}
-
-// idxInclusionDelay shards the delay scan; per-shard sample slices
-// concatenate in shard (= chain) order.
-func (a *Analysis) idxInclusionDelay(ctx context.Context) (DelayReport, error) {
-	shards := shardRanges(len(a.stats), a.workers)
-	type part struct{ regular, sanctioned []float64 }
-	parts := make([]part, len(shards))
-	err := stats.ParallelDaysErr(ctx, len(shards), a.workers, func(s int) error {
-		p := &parts[s]
-		for i := shards[s][0]; i < shards[s][1]; i++ {
-			st := a.stats[i]
-			b := st.Block
-			for _, tx := range b.Txs {
-				obs, ok := a.ds.Arrivals[tx.Hash()]
-				if !ok {
-					continue
-				}
-				first, seen := obs.FirstSeen()
-				if !seen || first.After(b.Time) {
-					continue
-				}
-				wait := b.Time.Sub(first).Seconds()
-				if a.ds.Sanctions.IsSanctioned(tx.From, b.Time) ||
-					a.ds.Sanctions.IsSanctioned(tx.To, b.Time) {
-					p.sanctioned = append(p.sanctioned, wait)
-				} else {
-					p.regular = append(p.regular, wait)
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return DelayReport{}, err
-	}
-	var regular, sanctioned []float64
-	for _, p := range parts {
-		regular = append(regular, p.regular...)
-		sanctioned = append(sanctioned, p.sanctioned...)
-	}
-	rep := DelayReport{
-		Regular:    stats.BoxOf(regular),
-		Sanctioned: stats.BoxOf(sanctioned),
-	}
-	if rep.Regular.Mean > 0 {
-		rep.MeanRatio = rep.Sanctioned.Mean / rep.Regular.Mean
-	}
-	return rep, nil
 }

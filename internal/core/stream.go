@@ -12,31 +12,49 @@ import (
 	"github.com/ethpbs/pbslab/internal/types"
 )
 
-// DaySource streams a chunked corpus: the blocks-free common section once,
-// then each day's blocks on demand. dsio.Reader implements it; tests use
-// in-memory sources. OpenDay must return days in chain order when called
-// with ascending indexes — the contract the chunked layout guarantees.
+// DaySource streams a corpus as the blocks-free common section, then its
+// blocks in batches on demand. OpenDay must return the batches in chain
+// order when called with ascending indexes. A chunked corpus on disk
+// (dsio.Reader) serves one batch per day segment; New serves an in-memory
+// dataset as one batch.
 type DaySource interface {
 	// Common returns the corpus shell (ds.Blocks is nil) and the builder
 	// labels the corpus was saved with.
 	Common() (*dataset.Dataset, map[types.Address]string, error)
-	// Days returns the number of day segments.
+	// Days returns the number of batches.
 	Days() int
-	// OpenDay returns day i's blocks in chain order.
+	// OpenDay returns batch i's blocks in chain order.
 	OpenDay(day int) ([]*dataset.Block, error)
 }
 
+// memSource serves an in-memory dataset as one batch, which keeps
+// classification sharded across the whole corpus.
+type memSource struct{ ds *dataset.Dataset }
+
+// Common shares ds's maps and slices in a fresh blocks-free shell (Dataset
+// embeds a sync.Once, so a struct copy is off the table).
+func (s memSource) Common() (*dataset.Dataset, map[types.Address]string, error) {
+	return &dataset.Dataset{
+		Start:       s.ds.Start,
+		End:         s.ds.End,
+		MEVLabels:   s.ds.MEVLabels,
+		MEVBySource: s.ds.MEVBySource,
+		Arrivals:    s.ds.Arrivals,
+		Relays:      s.ds.Relays,
+		Sanctions:   s.ds.Sanctions,
+	}, nil, nil
+}
+
+func (s memSource) Days() int { return 1 }
+
+func (s memSource) OpenDay(int) ([]*dataset.Block, error) { return s.ds.Blocks, nil }
+
 // NewStreaming builds an Analysis from a streamed corpus without ever
-// holding more than one day of transaction-level data: each day is
-// decoded, classified, folded into the delay/count accumulators, and then
-// stripped to its header before the next day loads. The resulting
-// Analysis answers every figure and table byte-identically to the
-// in-memory path — the per-day pass visits blocks in exactly the chain
-// order the sharded passes of New reduce in.
-//
-// The legacy sequential scan path is unavailable here (its per-figure
-// scans re-read transactions that are no longer resident), so combining
-// NewStreaming with WithSequential is an error.
+// holding more than one batch of transaction-level data: each batch is
+// classified, folded into the delay/count accumulators, and then stripped
+// to its headers before the next batch loads. The per-batch pass visits
+// blocks in chain order, so every accumulation associates the same way
+// however the corpus is batched.
 func NewStreaming(ctx context.Context, src DaySource, opts ...Option) (*Analysis, error) {
 	common, srcLabels, err := src.Common()
 	if err != nil {
@@ -56,16 +74,13 @@ func NewStreaming(ctx context.Context, src DaySource, opts ...Option) (*Analysis
 	for _, opt := range opts {
 		opt(a)
 	}
-	if a.sequential {
-		return nil, fmt.Errorf("core: streaming build has no sequential path: the full-scan figures need resident transactions")
-	}
 
 	claims := indexRelayClaims(common)
 	mevByBlock := indexMEV(common)
 
-	// Block-level tallies accumulate here; the common shell's own Count()
-	// supplies the label/arrival/relay/sanction tallies.
-	counts := common.Count()
+	// Block-level tallies accumulate onto the label/arrival/relay/sanction
+	// tallies of the common shell's own Count().
+	a.counts = common.Count()
 	var delayRegular, delaySanctioned []float64
 
 	for day := 0; day < src.Days(); day++ {
@@ -88,15 +103,16 @@ func NewStreaming(ctx context.Context, src DaySource, opts ...Option) (*Analysis
 		if err != nil {
 			return nil, fmt.Errorf("core: classify day %d: %w", day, err)
 		}
-		// The sequential tail of the day: chain-order accumulation (delay
-		// samples concatenate exactly as idxInclusionDelay's shards do),
-		// then the strip that releases the day's transaction payload.
+		// The sequential tail of the batch: chain-order accumulation of
+		// the inclusion delays (publicly observed transactions only;
+		// private flow has no public waiting time), then the strip that
+		// releases the batch's transaction payload.
 		for _, st := range dayStats {
 			b := st.Block
-			counts.Blocks++
-			counts.Transactions += len(b.Txs)
-			counts.Logs += b.LogCount()
-			counts.Traces += len(b.Traces)
+			a.counts.Blocks++
+			a.counts.Transactions += len(b.Txs)
+			a.counts.Logs += b.LogCount()
+			a.counts.Traces += len(b.Traces)
 			for _, tx := range b.Txs {
 				obs, ok := common.Arrivals[tx.Hash()]
 				if !ok {
@@ -120,7 +136,6 @@ func NewStreaming(ctx context.Context, src DaySource, opts ...Option) (*Analysis
 			a.byHash[st.Block.Hash] = st
 		}
 	}
-	a.streamCounts = &counts
 
 	a.buildClusters()
 	for _, st := range a.stats {
@@ -132,18 +147,16 @@ func NewStreaming(ctx context.Context, src DaySource, opts ...Option) (*Analysis
 		}
 	}
 
-	delay := DelayReport{
-		Regular:    stats.BoxOf(delayRegular),
-		Sanctioned: stats.BoxOf(delaySanctioned),
-	}
-	if delay.Regular.Mean > 0 {
-		delay.MeanRatio = delay.Sanctioned.Mean / delay.Regular.Mean
-	}
-	a.preDelay = &delay
-
 	idx, err := buildIndex(ctx, a)
 	if err != nil {
 		return nil, fmt.Errorf("core: index: %w", err)
+	}
+	idx.delay = DelayReport{
+		Regular:    stats.BoxOf(delayRegular),
+		Sanctioned: stats.BoxOf(delaySanctioned),
+	}
+	if idx.delay.Regular.Mean > 0 {
+		idx.delay.MeanRatio = idx.delay.Sanctioned.Mean / idx.delay.Regular.Mean
 	}
 	a.idx = idx
 	return a, nil

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/ethpbs/pbslab/internal/dataset"
 	"github.com/ethpbs/pbslab/internal/faults"
 	"github.com/ethpbs/pbslab/internal/pbs"
 	"github.com/ethpbs/pbslab/internal/sim"
@@ -96,18 +95,6 @@ func TestValidateQuarantineSortedAndDeduplicated(t *testing.T) {
 	}
 }
 
-// oneDaySource serves an in-memory dataset to ValidateStream as a single
-// day segment.
-type oneDaySource struct{ ds *dataset.Dataset }
-
-func (s oneDaySource) Common() (*dataset.Dataset, map[types.Address]string, error) {
-	return &dataset.Dataset{Start: s.ds.Start, End: s.ds.End, MEVLabels: s.ds.MEVLabels, Relays: s.ds.Relays}, nil, nil
-}
-func (s oneDaySource) Days() int { return 1 }
-func (s oneDaySource) OpenDay(int) ([]*dataset.Block, error) {
-	return s.ds.Blocks, nil
-}
-
 // TestValidateUnlandedRelayPayload pins the delivered-trace rules in both
 // validators: a payload that never landed, at a number whose canonical
 // block came through no relay, is a finding; a second hash for a
@@ -140,7 +127,7 @@ func TestValidateUnlandedRelayPayload(t *testing.T) {
 	validateBoth := func() ValidationReport {
 		t.Helper()
 		rep := Validate(ds)
-		streamed, err := ValidateStream(oneDaySource{ds})
+		streamed, err := ValidateStream(memSource{ds})
 		if err != nil {
 			t.Fatal(err)
 		}

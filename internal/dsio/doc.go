@@ -6,7 +6,7 @@
 //
 // # Chunked layout
 //
-// The primary format is out-of-core (DESIGN.md §11): the corpus lands as a
+// The format is out-of-core (DESIGN.md §11): the corpus lands as a
 // dataset/ directory holding one gob segment per day of the window plus a
 // JSON segment index written last as the commit point.
 //
@@ -25,23 +25,15 @@
 // same layout to disk; EncodeChunked produces it as in-memory files for
 // the report/manifest pipeline.
 //
-// # Legacy blob
-//
-// The original format — a single dataset.gob holding the whole corpus —
-// is still read (Decode, and Load falls back to it when no index is
-// present) and still written on request (pbslab -dataset-format blob),
-// but it rehydrates everything at once and so does not scale past small
-// windows.
-//
-// Both encodings are deterministic: maps are flattened into sorted slices
+// The encoding is deterministic: maps are flattened into sorted slices
 // before gob sees them, so the same corpus always encodes to the same
 // bytes and the enclosing manifest digest is stable. Transactions travel
 // as DTOs without their cached hash; decoding rebuilds them through
 // types.NewTransaction, so hashes are recomputed rather than trusted from
 // disk (the same rule the simulation checkpoints follow).
 //
-// Builder labels ride in the same envelope. They are deliberately not part
-// of dataset.Dataset — the dataset package holds only what a real crawl
-// could produce — but the CLIs analyze with sim-provided labels, and a
-// server answering the same queries needs the same attribution.
+// Builder labels ride in the common section. They are deliberately not
+// part of dataset.Dataset — the dataset package holds only what a real
+// crawl could produce — but the CLIs analyze with sim-provided labels, and
+// a server answering the same queries needs the same attribution.
 package dsio

@@ -20,26 +20,18 @@ import (
 // byte-different streams depending on what the process gob-encoded or
 // -decoded earlier — a worker that restored a checkpoint before dumping
 // its dataset, for example. Walking the full DTO closure here pins those
-// IDs at init, before any runtime gob traffic, making chunk and envelope
-// bytes canonical: equal corpora hash equal in every binary linking this
+// IDs at init, before any runtime gob traffic, making segment bytes
+// canonical: equal corpora hash equal in every binary linking this
 // package, which manifest digests and byte-level corpus comparison rely
 // on.
 func init() {
 	enc := gob.NewEncoder(io.Discard)
-	for _, v := range []any{&segCommon{}, &segDay{}, &envelope{}} {
+	for _, v := range []any{&segCommon{}, &segDay{}} {
 		if err := enc.Encode(v); err != nil {
 			panic(fmt.Sprintf("dsio: pin gob type IDs: %v", err))
 		}
 	}
 }
-
-// DatasetName is the file name the encoded corpus is stored under inside an
-// output directory, beside the figure CSVs and covered by the same manifest.
-const DatasetName = "dataset.gob"
-
-// version gates the on-disk format; bump on any change to the DTOs below so
-// stale files are rejected rather than misdecoded.
-const version = 1
 
 // txDTO is a Transaction stripped of its unexported hash cache.
 type txDTO struct {
@@ -122,9 +114,7 @@ type labelDTO struct {
 
 // commonDTO is the corpus minus its blocks — the "common section" every
 // reader needs regardless of which days it opens — with every map
-// flattened into a sorted slice so the encoding is deterministic. Both the
-// legacy single-blob envelope and the chunked common segment are built
-// from it.
+// flattened into a sorted slice so the encoding is deterministic.
 type commonDTO struct {
 	Start, End time.Time
 
@@ -188,72 +178,4 @@ func (c commonDTO) dataset() (*dataset.Dataset, map[types.Address]string) {
 		labels[l.Addr] = l.Name
 	}
 	return ds, labels
-}
-
-// envelope is the full serialized corpus (the legacy single-blob format).
-type envelope struct {
-	Version    int
-	Start, End time.Time
-
-	Blocks      []blockDTO
-	MEVLabels   []mev.Label
-	MEVBySource []sourceDTO
-	Arrivals    []p2p.Observation
-	Relays      []dataset.RelayData
-	Sanctions   []ofac.Designation
-
-	BuilderLabels []labelDTO
-}
-
-// Encode serializes ds plus the builder attribution labels into a
-// deterministic byte stream (the legacy single-blob format; new writers
-// should prefer the chunked layout, see WriteDays/EncodeChunked).
-func Encode(ds *dataset.Dataset, labels map[types.Address]string) ([]byte, error) {
-	c := toCommonDTO(ds, labels)
-	env := envelope{
-		Version: version,
-		Start:   c.Start,
-		End:     c.End,
-
-		MEVLabels:     c.MEVLabels,
-		MEVBySource:   c.MEVBySource,
-		Arrivals:      c.Arrivals,
-		Relays:        c.Relays,
-		Sanctions:     c.Sanctions,
-		BuilderLabels: c.BuilderLabels,
-	}
-	env.Blocks = make([]blockDTO, len(ds.Blocks))
-	for i, b := range ds.Blocks {
-		env.Blocks[i] = blockToDTO(b)
-	}
-
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&env); err != nil {
-		return nil, fmt.Errorf("dsio: encode: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// Decode rebuilds a dataset (and the builder labels it was saved with) from
-// an Encode stream. Transaction hashes are recomputed, never read from disk.
-func Decode(data []byte) (*dataset.Dataset, map[types.Address]string, error) {
-	var env envelope
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&env); err != nil {
-		return nil, nil, fmt.Errorf("dsio: decode: %w", err)
-	}
-	if env.Version != version {
-		return nil, nil, fmt.Errorf("dsio: dataset format version %d, want %d", env.Version, version)
-	}
-	c := commonDTO{
-		Start: env.Start, End: env.End,
-		MEVLabels: env.MEVLabels, MEVBySource: env.MEVBySource,
-		Arrivals: env.Arrivals, Relays: env.Relays, Sanctions: env.Sanctions,
-		BuilderLabels: env.BuilderLabels,
-	}
-	ds, labels := c.dataset()
-	ds.Blocks = make([]*dataset.Block, len(env.Blocks))
-	for i, d := range env.Blocks {
-		ds.Blocks[i] = d.block()
-	}
-	return ds, labels, nil
 }

@@ -3,7 +3,13 @@ package dsio
 import (
 	"bytes"
 	"context"
-	"reflect"
+	"crypto/sha256"
+	"encoding/gob"
+	"encoding/hex"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -29,88 +35,81 @@ func smallRun(t *testing.T) *sim.Result {
 	return res
 }
 
+// TestEncodeDecodeRoundTrip decodes a written corpus back into memory:
+// the rehydrated corpus satisfies every invariant, and re-encoding it
+// reproduces the files on disk byte for byte.
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	res := smallRun(t)
-	labels := res.World.BuilderLabels()
-
-	data, err := Encode(res.Dataset, labels)
+	dir := t.TempDir()
+	if err := WriteDays(dir, res.Dataset, res.World.BuilderLabels()); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, gotLabels, err := Decode(data)
+	ds, labels, err := r.ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	if !reflect.DeepEqual(labels, gotLabels) {
-		t.Error("builder labels did not round-trip")
-	}
-	if got, want := ds.Count(), res.Dataset.Count(); !reflect.DeepEqual(got, want) {
-		t.Errorf("Table 1 counts drifted: got %+v want %+v", got, want)
-	}
-	for i, b := range ds.Blocks {
-		orig := res.Dataset.Blocks[i]
-		if b.Hash != orig.Hash {
-			t.Fatalf("block %d: stored hash drifted", b.Number)
-		}
-		for j, tx := range b.Txs {
-			if tx.Hash() != orig.Txs[j].Hash() {
-				t.Fatalf("block %d tx %d: recomputed hash drifted", b.Number, j)
-			}
-		}
-	}
-
-	// The decoded corpus must satisfy every invariant the original does.
 	if rep := core.Validate(ds); !rep.OK() {
 		t.Fatalf("decoded dataset fails validation: %v", rep.Violations)
+	}
+	files, err := EncodeChunked(ds, labels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		disk, err := os.ReadFile(filepath.Join(dir, filepath.FromSlash(f.Name)))
+		if err != nil {
+			t.Fatalf("%s: %v", f.Name, err)
+		}
+		if !bytes.Equal(disk, f.Data) {
+			t.Errorf("%s: re-encoding a decoded corpus differs", f.Name)
+		}
 	}
 }
 
 func TestEncodeIsDeterministic(t *testing.T) {
 	res := smallRun(t)
 	labels := res.World.BuilderLabels()
-	a, err := Encode(res.Dataset, labels)
+	a, err := EncodeChunked(res.Dataset, labels)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Encode(res.Dataset, labels)
+	b, err := EncodeChunked(res.Dataset, labels)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(a, b) {
-		t.Fatal("two encodings of the same corpus differ")
+	if len(a) != len(b) {
+		t.Fatalf("two encodings have %d and %d files", len(a), len(b))
 	}
-	// And a decode→re-encode cycle is stable too.
-	ds, lab, err := Decode(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := Encode(ds, lab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, c) {
-		t.Fatal("re-encoding a decoded corpus differs")
+	for i := range a {
+		if a[i].Name != b[i].Name || !bytes.Equal(a[i].Data, b[i].Data) {
+			t.Errorf("%s: two encodings of the same corpus differ", a[i].Name)
+		}
 	}
 }
 
 // TestDecodedAnalysisMatchesOriginal proves the serving plane's guarantee:
-// an analysis built from the decoded corpus renders byte-identical
+// an analysis streamed from the decoded corpus renders byte-identical
 // artifacts to one built from the live simulation result.
 func TestDecodedAnalysisMatchesOriginal(t *testing.T) {
 	res := smallRun(t)
 	labels := res.World.BuilderLabels()
-	data, err := Encode(res.Dataset, labels)
+	dir := t.TempDir()
+	if err := WriteDays(dir, res.Dataset, labels); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, lab, err := Decode(data)
+	decoded, err := core.NewStreaming(context.Background(), r)
 	if err != nil {
 		t.Fatal(err)
 	}
-
 	orig := core.New(res.Dataset, core.WithBuilderLabels(labels))
-	decoded := core.New(ds, core.WithBuilderLabels(lab))
 	origArts := report.RenderAll(orig, 2)
 	decArts := report.RenderAll(decoded, 2)
 	if len(origArts) != len(decArts) {
@@ -126,17 +125,108 @@ func TestDecodedAnalysisMatchesOriginal(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsGarbageAndWrongVersion plants segments whose index
+// entries match their bytes, so only decoding can refuse them: garbage,
+// a truncated gob stream, and a segment or index of an unknown version.
 func TestDecodeRejectsGarbageAndWrongVersion(t *testing.T) {
-	if _, _, err := Decode([]byte("not a gob stream")); err == nil {
-		t.Fatal("garbage decoded without error")
-	}
 	res := smallRun(t)
-	data, err := Encode(res.Dataset, nil)
+	dir := t.TempDir()
+	if err := WriteDays(dir, res.Dataset, nil); err != nil {
+		t.Fatal(err)
+	}
+	idxPath := filepath.Join(dir, filepath.FromSlash(IndexName))
+	pristine, err := os.ReadFile(idxPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Truncation must fail loudly, never yield a short corpus.
-	if _, _, err := Decode(data[:len(data)/2]); err == nil {
-		t.Fatal("truncated stream decoded without error")
+	// plant overwrites one segment and re-points its index entry at the
+	// new bytes.
+	plant := func(name string, data []byte) {
+		t.Helper()
+		var idx SegmentIndex
+		if err := json.Unmarshal(pristine, &idx); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(data)
+		size, digest := int64(len(data)), hex.EncodeToString(sum[:])
+		if name == CommonName {
+			idx.Common.Size, idx.Common.SHA256 = size, digest
+		}
+		for i := range idx.Segments {
+			if idx.Segments[i].Name == name {
+				idx.Segments[i].Size, idx.Segments[i].SHA256 = size, digest
+			}
+		}
+		raw, err := json.Marshal(&idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(idxPath, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, filepath.FromSlash(name)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gobOf := func(v any) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	day1, err := os.ReadFile(filepath.Join(dir, filepath.FromSlash(SegmentName(1))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	common, err := os.ReadFile(filepath.Join(dir, filepath.FromSlash(CommonName)))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name, file string
+		data       []byte
+		want       string
+	}{
+		{"garbage day", SegmentName(1), []byte("not a gob stream"), "decode"},
+		// Truncation must fail loudly, never yield a short corpus.
+		{"truncated day", SegmentName(1), day1[:len(day1)/2], "decode"},
+		{"unknown day version", SegmentName(1), gobOf(&segDay{Version: segmentVersion + 1, Day: 1}), "version"},
+		{"garbage common", CommonName, []byte("not a gob stream"), "decode"},
+		{"unknown common version", CommonName, gobOf(&segCommon{Version: segmentVersion + 1}), "version"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			plant(tc.file, tc.data)
+			defer plant(SegmentName(1), day1)
+			defer plant(CommonName, common)
+			r, err := Open(dir)
+			if err == nil && tc.file != CommonName {
+				_, err = r.OpenDay(1)
+			}
+			if err == nil {
+				t.Fatalf("%s decoded without error", tc.name)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("%s: error should mention %q, got: %v", tc.name, tc.want, err)
+			}
+		})
+	}
+
+	var idx SegmentIndex
+	if err := json.Unmarshal(pristine, &idx); err != nil {
+		t.Fatal(err)
+	}
+	idx.Version = segmentVersion + 1
+	raw, err := json.Marshal(&idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(idxPath, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), "version") {
+		t.Fatalf("index of an unknown version: err = %v, want a version error", err)
 	}
 }

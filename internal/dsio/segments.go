@@ -1,10 +1,9 @@
-// The chunked dataset layout: instead of one monolithic dataset.gob, the
-// corpus is split into a common section (everything but the blocks), one
-// segment per simulated day, and a JSON segment index that covers every
-// segment with its size and SHA-256 digest. Writers emit days in order and
-// publish the index last (the same manifest-last rule the report writer
-// follows), so a torn write can never leave an index pointing at bytes
-// that were not fully published. Readers open one day at a time, which is
+// The chunked dataset layout: the corpus is split into a common section
+// (everything but the blocks), one segment per simulated day, and a JSON
+// segment index that covers every segment with its size and SHA-256
+// digest. Writers emit days in order and publish the index last (the same
+// manifest-last rule the report writer follows), so a torn write can never
+// leave an index pointing at bytes that were not fully published. Readers open one day at a time, which is
 // what keeps the analysis build bounded-memory at 10×–100× corpus scale.
 package dsio
 
@@ -35,8 +34,8 @@ const (
 	CommonName = DirName + "/common.seg"
 )
 
-// segmentVersion gates the chunked on-disk format independently of the
-// legacy blob's gob version; bump on any wire change.
+// segmentVersion gates the chunked on-disk format; bump on any change to
+// the DTOs so stale files are rejected rather than misdecoded.
 const segmentVersion = 1
 
 // SegmentName returns the file name of day i's block segment.
@@ -355,9 +354,9 @@ func (r *Reader) OpenDay(day int) ([]*dataset.Block, error) {
 	return blocks, nil
 }
 
-// ReadAll rehydrates the whole corpus into memory — the compatibility path
-// for callers that need a complete dataset.Dataset. Out-of-core consumers
-// should stream with Common/OpenDay instead.
+// ReadAll rehydrates the whole corpus into memory, for callers that need a
+// complete dataset.Dataset. Out-of-core consumers should stream with
+// Common/OpenDay instead.
 func (r *Reader) ReadAll() (*dataset.Dataset, map[types.Address]string, error) {
 	// Assemble a fresh Dataset (sharing the common section's maps and
 	// slices) so the Reader's shell stays blocks-free. Dataset embeds a
@@ -404,22 +403,4 @@ func CheckDir(dir string) error {
 		}
 	}
 	return nil
-}
-
-// Load opens whichever corpus format dir holds: the chunked layout when a
-// segment index is present, else the legacy single-blob dataset.gob. The
-// whole dataset is rehydrated; use Open for streamed access.
-func Load(dir string) (*dataset.Dataset, map[types.Address]string, error) {
-	if _, err := os.Stat(filepath.Join(dir, filepath.FromSlash(IndexName))); err == nil {
-		r, err := Open(dir)
-		if err != nil {
-			return nil, nil, err
-		}
-		return r.ReadAll()
-	}
-	data, err := os.ReadFile(filepath.Join(dir, DatasetName))
-	if err != nil {
-		return nil, nil, fmt.Errorf("dsio: no chunked index and no legacy blob: %w", err)
-	}
-	return Decode(data)
 }

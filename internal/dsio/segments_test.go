@@ -49,15 +49,6 @@ func TestChunkedRoundTrip(t *testing.T) {
 			}
 		}
 	}
-
-	// Load must pick the chunked layout when the index is present.
-	ds2, _, err := Load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ds2.Blocks) != len(ds.Blocks) {
-		t.Fatalf("Load: %d blocks, want %d", len(ds2.Blocks), len(ds.Blocks))
-	}
 }
 
 // TestEncodeChunkedMatchesWriteDays pins the artifact-pipeline path to the
@@ -257,36 +248,6 @@ func TestChunkedIndexMissingSegment(t *testing.T) {
 	}
 	if _, err := Open(dir); err == nil {
 		t.Fatal("non-contiguous index opened without error")
-	}
-}
-
-// TestLoadLegacyBlob pins the compatibility path: a directory holding only
-// the legacy single-blob dataset.gob still loads.
-func TestLoadLegacyBlob(t *testing.T) {
-	res := smallRun(t)
-	labels := res.World.BuilderLabels()
-	data, err := Encode(res.Dataset, labels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, DatasetName), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	ds, gotLabels, err := Load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(labels, gotLabels) {
-		t.Error("legacy blob labels did not round-trip")
-	}
-	if got, want := ds.Count(), res.Dataset.Count(); !reflect.DeepEqual(got, want) {
-		t.Errorf("legacy blob counts drifted: got %+v want %+v", got, want)
-	}
-
-	// An empty directory is an error, not a nil dataset.
-	if _, _, err := Load(t.TempDir()); err == nil {
-		t.Fatal("Load on an empty directory should fail")
 	}
 }
 

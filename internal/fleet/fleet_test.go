@@ -1069,3 +1069,41 @@ func TestFleetScaleAxisShipsChunkedCorpus(t *testing.T) {
 		t.Errorf("scale axis not reaching the scenario: %d blocks at x2, want %d (2 × %d)", x2, 2*x1, x1)
 	}
 }
+
+// TestFleetSummaryCountsCellBlocks holds each cell's summary.json to its
+// own corpus: the summary's block count must equal the total_blocks of the
+// cell's dataset/index.json.
+func TestFleetSummaryCountsCellBlocks(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess fleet run")
+	}
+	dir := t.TempDir()
+	g := tinyGrid("blocks", 7)
+	g.DumpDataset = true
+	sum := runFleet(t, dir, g, testOpts(t), false)
+	if sum.Completed != sum.Cells || len(sum.Quarantined) != 0 {
+		t.Fatalf("run: %d/%d completed, %d quarantined", sum.Completed, sum.Cells, len(sum.Quarantined))
+	}
+	cells, err := g.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cells {
+		cellDir := filepath.Join(dir, CellsDirName, c.ID)
+		var s CellSummary
+		data, err := os.ReadFile(filepath.Join(cellDir, SummaryName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(data, &s); err != nil {
+			t.Fatal(err)
+		}
+		r, err := dsio.Open(cellDir)
+		if err != nil {
+			t.Fatalf("%s: open cell corpus: %v", c.ID, err)
+		}
+		if want := r.Index().TotalBlcks; s.Blocks != want || want == 0 {
+			t.Errorf("%s: summary.json says %d blocks, the cell's corpus holds %d", c.ID, s.Blocks, want)
+		}
+	}
+}

@@ -242,7 +242,7 @@ func RunWorker(ctx context.Context, spec WorkerSpec, hb io.Writer) error {
 // and listed in Metrics.Undefined, since JSON cannot carry NaN.
 func summarize(cell Cell, a *core.Analysis) *CellSummary {
 	s := &CellSummary{Cell: cell}
-	s.Blocks = len(a.Dataset().Blocks)
+	s.Blocks = len(a.Blocks())
 	_, s.Days = a.Window()
 	m := &s.Metrics
 	defined := func(name string, v float64) float64 {

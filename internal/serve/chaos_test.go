@@ -17,9 +17,10 @@ import (
 	"testing"
 	"time"
 
-	"github.com/ethpbs/pbslab/internal/dsio"
+	"github.com/ethpbs/pbslab/internal/dataset"
 	"github.com/ethpbs/pbslab/internal/faults"
 	"github.com/ethpbs/pbslab/internal/report"
+	"github.com/ethpbs/pbslab/internal/u256"
 )
 
 // TestAdmissionShedsDeterministically drives the controller through every
@@ -467,24 +468,38 @@ func TestServeReloadRejectsCorruptDirKeepsServing(t *testing.T) {
 
 // TestServeReloadRejectsCorruptDataset covers the deepest rung: a directory
 // whose files all match their manifest hashes, but whose serialized corpus
-// violates dataset invariants. Only core.Validate can catch it — and must.
+// violates dataset invariants. Only core.ValidateStream can catch it — and
+// must.
 func TestServeReloadRejectsCorruptDataset(t *testing.T) {
-	a, gob := fixture(t)
-	ds, labels, err := dsio.Decode(gob)
-	if err != nil {
-		t.Fatal(err)
+	a, _ := fixture(t)
+	// Skim one block's stored tips: the writer encodes it, the receipts no
+	// longer add up to it.
+	src := fixRes.Dataset
+	ds := &dataset.Dataset{
+		Start: src.Start, End: src.End,
+		MEVLabels: src.MEVLabels, MEVBySource: src.MEVBySource,
+		Arrivals: src.Arrivals, Relays: src.Relays, Sanctions: src.Sanctions,
+		Blocks: append([]*dataset.Block(nil), src.Blocks...),
 	}
-	corruptions := faults.CorruptDataset(11, ds)
-	if len(corruptions) == 0 {
-		t.Fatal("no corruptions planted")
+	var skimmed uint64
+	for i, b := range ds.Blocks {
+		if b.Tips.IsZero() {
+			continue
+		}
+		cp := *b
+		cp.Tips = cp.Tips.SatSub(u256.One)
+		ds.Blocks[i], skimmed = &cp, b.Number
+		break
 	}
-	badGob, err := dsio.Encode(ds, labels)
+	if skimmed == 0 {
+		t.Fatal("fixture has no block with tips to skim")
+	}
+	corpus, err := corpusArtifacts(ds, fixRes.World.BuilderLabels())
 	if err != nil {
 		t.Fatal(err)
 	}
 	bad := t.TempDir()
-	if err := report.WriteAllExtraContext(context.Background(), a, bad,
-		report.Artifact{Name: dsio.DatasetName, Data: badGob}); err != nil {
+	if err := report.WriteAllExtraContext(context.Background(), a, bad, corpus...); err != nil {
 		t.Fatal(err)
 	}
 	// The directory itself verifies clean — the damage is semantic.
@@ -502,8 +517,9 @@ func TestServeReloadRejectsCorruptDataset(t *testing.T) {
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("invalid dataset accepted: status %d", resp.StatusCode)
 	}
-	if !strings.Contains(string(raw), "validation") {
-		t.Fatalf("rejection does not cite validation: %s", raw)
+	if !strings.Contains(string(raw), "validation") ||
+		!strings.Contains(string(raw), fmt.Sprintf("block %d: recomputed tips", skimmed)) {
+		t.Fatalf("rejection does not cite the skimmed block's validation: %s", raw)
 	}
 	if s.Store().Current().Generation != 1 {
 		t.Fatal("generation advanced on invalid dataset")

@@ -9,11 +9,13 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/ethpbs/pbslab/internal/core"
+	"github.com/ethpbs/pbslab/internal/dataset"
 	"github.com/ethpbs/pbslab/internal/dsio"
 	"github.com/ethpbs/pbslab/internal/report"
 	"github.com/ethpbs/pbslab/internal/sim"
@@ -27,12 +29,13 @@ var (
 	fixOnce   sync.Once
 	fixErr    error
 	fixRes    *sim.Result
-	fixLabels map[types.Address]string
 	fixA      *core.Analysis
-	fixGob    []byte
+	fixCorpus []report.Artifact
 )
 
-func fixture(t testing.TB) (*core.Analysis, []byte) {
+// fixture returns the fixture's analysis and its chunked corpus, as
+// `pbslab -dump-dataset` ships it beside the figures.
+func fixture(t testing.TB) (*core.Analysis, []report.Artifact) {
 	t.Helper()
 	fixOnce.Do(func() {
 		sc := sim.DefaultScenario()
@@ -47,22 +50,35 @@ func fixture(t testing.TB) (*core.Analysis, []byte) {
 			return
 		}
 		fixRes = res
-		fixLabels = res.World.BuilderLabels()
-		fixA = core.New(res.Dataset, core.WithBuilderLabels(fixLabels))
-		fixGob, fixErr = dsio.Encode(res.Dataset, fixLabels)
+		labels := res.World.BuilderLabels()
+		fixA = core.New(res.Dataset, core.WithBuilderLabels(labels))
+		fixCorpus, fixErr = corpusArtifacts(res.Dataset, labels)
 	})
 	if fixErr != nil {
 		t.Fatal(fixErr)
 	}
-	return fixA, fixGob
+	return fixA, fixCorpus
+}
+
+// corpusArtifacts encodes ds in the chunked layout as report artifacts.
+func corpusArtifacts(ds *dataset.Dataset, labels map[types.Address]string) ([]report.Artifact, error) {
+	files, err := dsio.EncodeChunked(ds, labels)
+	if err != nil {
+		return nil, err
+	}
+	arts := make([]report.Artifact, len(files))
+	for i, f := range files {
+		arts[i] = report.Artifact{Name: f.Name, Data: f.Data}
+	}
+	return arts, nil
 }
 
 // buildDataDir writes a complete verified output directory — all rendered
-// artifacts plus the serialized corpus, covered by one manifest — into dir.
+// artifacts plus the chunked corpus, covered by one manifest — into dir.
 func buildDataDir(t testing.TB, dir string, extra ...report.Artifact) {
 	t.Helper()
-	a, gob := fixture(t)
-	arts := append([]report.Artifact{{Name: dsio.DatasetName, Data: gob}}, extra...)
+	a, corpus := fixture(t)
+	arts := append(append([]report.Artifact(nil), corpus...), extra...)
 	if err := report.WriteAllExtraContext(context.Background(), a, dir, arts...); err != nil {
 		t.Fatal(err)
 	}
@@ -120,6 +136,26 @@ func TestServeInitRejectsUnverifiableDir(t *testing.T) {
 	}
 }
 
+// TestLoadRefusesDatasetBlob loads a verified directory that ships the
+// retired single-blob dataset.gob instead of the chunked corpus: Load must
+// refuse it and say how to regenerate it, not serve it without index
+// queries.
+func TestLoadRefusesDatasetBlob(t *testing.T) {
+	a, _ := fixture(t)
+	dir := t.TempDir()
+	if err := report.WriteAllExtraContext(context.Background(), a, dir,
+		report.Artifact{Name: "dataset.gob", Data: []byte("a corpus in the retired format")}); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Load(context.Background(), dir, LoadOptions{})
+	if err == nil {
+		t.Fatal("Load accepted a directory shipping dataset.gob")
+	}
+	if !strings.Contains(err.Error(), "pbslab -dump-dataset") {
+		t.Fatalf("refusal does not say how to regenerate the corpus: %v", err)
+	}
+}
+
 func TestServeMetaReportsVerifiedSnapshot(t *testing.T) {
 	_, ts := newTestServer(t, nil)
 	var meta struct {
@@ -135,13 +171,13 @@ func TestServeMetaReportsVerifiedSnapshot(t *testing.T) {
 	if meta.Generation != 1 || !meta.HasDataset || meta.ManifestSum == "" {
 		t.Fatalf("unexpected meta: %+v", meta)
 	}
-	a, _ := fixture(t)
+	a, corpus := fixture(t)
 	if _, days := a.Window(); meta.WindowDays != days {
 		t.Fatalf("window_days = %d, want %d", meta.WindowDays, days)
 	}
-	// 19 rendered artifacts + dataset.gob.
-	if meta.Artifacts != 20 {
-		t.Fatalf("artifacts = %d, want 20", meta.Artifacts)
+	// 19 rendered artifacts + the chunked corpus files.
+	if want := 19 + len(corpus); meta.Artifacts != want {
+		t.Fatalf("artifacts = %d, want %d", meta.Artifacts, want)
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 
 // Snapshot is one immutable, fully verified serving state: the artifact
 // bytes of a manifest-covered output directory, plus (when the directory
-// carries a serialized corpus) the analysis built from it. All fields are
+// carries a chunked corpus) the analysis streamed from it. All fields are
 // read-only after Load; the server swaps whole snapshots atomically and
 // never mutates one in place.
 type Snapshot struct {
@@ -53,9 +53,8 @@ type Snapshot struct {
 	// dataset), again built once instead of per request.
 	figureItems []figureItem
 
-	// Analysis is non-nil when the directory contained a corpus (chunked
-	// dataset/ segments or the legacy dataset.gob): the per-day index
-	// queries answer from it. Artifact-only directories still serve
+	// Analysis is non-nil when the directory contained a chunked dataset/
+	// corpus: the per-day index queries answer from it. Artifact-only directories still serve
 	// downloads but report HasDataset=false in /api/v1/meta.
 	Analysis *core.Analysis
 	// Counts is the corpus Table 1 inventory (zero when no dataset).
@@ -107,6 +106,10 @@ func (s *Snapshot) Entry(name string) (report.ManifestEntry, bool) {
 	return e, ok
 }
 
+// blobName is the single-file corpus format earlier pbslab releases wrote
+// beside the figures; Load refuses a directory that still ships it.
+const blobName = "dataset.gob"
+
 // LoadOptions tunes snapshot loading.
 type LoadOptions struct {
 	// Workers bounds the analysis worker pool (0 = all CPUs).
@@ -123,14 +126,15 @@ type LoadOptions struct {
 //     memory, so a writer racing the load cannot slip a torn file past
 //     the verification that just passed. Corpus segments are not slurped:
 //     they stay on disk, re-verified lazily per request.
-//  3. core.Validate / core.ValidateStream — when the directory ships its
-//     corpus (chunked dataset/ layout or legacy dataset.gob), every
-//     dataset invariant must hold before an analysis is built. The
-//     chunked path streams: validation and the analysis build hold one
+//  3. core.ValidateStream — when the directory ships its chunked dataset/
+//     corpus, every dataset invariant must hold before an analysis is
+//     built. Validation and the analysis build both stream, holding one
 //     day of blocks at a time.
 //
-// Any failure returns an error and no snapshot; the caller keeps serving
-// whatever it served before.
+// A directory that still ships the retired single-blob dataset.gob is
+// refused outright, rather than served without index queries. Any failure
+// returns an error and no snapshot; the caller keeps serving whatever it
+// served before.
 func Load(ctx context.Context, dir string, opts LoadOptions) (*Snapshot, error) {
 	problems, err := report.VerifyDir(dir)
 	if err != nil {
@@ -172,6 +176,10 @@ func Load(ctx context.Context, dir string, opts LoadOptions) (*Snapshot, error) 
 	for _, e := range m.Artifacts {
 		snap.entries[e.Name] = e
 	}
+	if _, ok := snap.entries[blobName]; ok {
+		return nil, fmt.Errorf("serve: %s ships the retired %s corpus; re-run pbslab -dump-dataset to write the chunked %s/ layout",
+			dir, blobName, dsio.DirName)
+	}
 	for _, e := range m.Artifacts {
 		if strings.HasPrefix(e.Name, dsio.DirName+"/") {
 			// Chunked corpus segments: verified already (rung 1), kept on
@@ -195,8 +203,8 @@ func Load(ctx context.Context, dir string, opts LoadOptions) (*Snapshot, error) 
 		copts = append(copts, core.WithWorkers(opts.Workers))
 	}
 	if _, ok := snap.lazy[dsio.IndexName]; ok {
-		// Chunked corpus: stream the validation and the analysis build so
-		// the daemon's resident set stays bounded by one day of blocks.
+		// Stream the validation and the analysis build so the daemon's
+		// resident set stays bounded by one day of blocks.
 		r, err := dsio.Open(dir)
 		if err != nil {
 			return nil, fmt.Errorf("serve: open chunked corpus: %w", err)
@@ -215,21 +223,6 @@ func Load(ctx context.Context, dir string, opts LoadOptions) (*Snapshot, error) 
 		}
 		snap.Analysis = a
 		snap.Counts = a.Counts()
-	} else if raw, ok := snap.files[dsio.DatasetName]; ok {
-		ds, labels, err := dsio.Decode(raw)
-		if err != nil {
-			return nil, fmt.Errorf("serve: %s: %w", dsio.DatasetName, err)
-		}
-		if rep := core.Validate(ds); !rep.OK() {
-			return nil, fmt.Errorf("serve: %s: dataset fails validation: %d violation(s), first: %s",
-				dir, len(rep.Violations), rep.Violations[0])
-		}
-		a, err := core.NewWithContext(ctx, ds, append(copts, core.WithBuilderLabels(labels))...)
-		if err != nil {
-			return nil, fmt.Errorf("serve: build analysis: %w", err)
-		}
-		snap.Analysis = a
-		snap.Counts = ds.Count()
 	}
 
 	// Precompute the listings the list endpoints serve: building them once

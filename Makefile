@@ -139,8 +139,9 @@ crawl:
 	$(GO) run ./cmd/relaycrawl
 
 # DESIGN.md §3 benchmark set over the full paper window, recorded as a
-# committed machine-readable baseline. EngineRegenScan vs EngineRegenIndexed
-# yields derived.figure_regen_speedup in BENCH_pr2.json.
+# committed machine-readable baseline. EngineIndexBuild over
+# EngineRegenIndexed yields derived.index_build_share_of_regen in
+# BENCH_pr2.json.
 BENCH_OUT ?= BENCH_pr2.json
 bench:
 	mkdir -p out

@@ -14,7 +14,8 @@
 //     datasets — never simulator ground truth — and computes every figure
 //     and table of the evaluation. Blocks are classified in parallel, one
 //     fused pass builds a per-day index, and all artifacts render from it
-//     byte-identically to the legacy sequential scans (golden-tested).
+//     byte-identically at every worker count (pinned by committed
+//     digests).
 //
 // Package map (each package carries its own doc; `make docs-lint`
 // enforces that):
@@ -23,7 +24,7 @@
 //	internal/core     analysis engine; NewStreaming builds the index
 //	                  out-of-core from chunked corpora (DESIGN.md §11)
 //	internal/dsio     corpus serialization: chunked per-day dataset/
-//	                  segments (primary) and the legacy single blob
+//	                  segments
 //	internal/report   artifact rendering, manifests, VerifyDir
 //	internal/serve    the pbslabd serving plane (degradation ladder)
 //	internal/fleet    crash-tolerant experiment grid with scale axes

@@ -70,27 +70,6 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestEncodeIsDeterministic(t *testing.T) {
-	res := smallRun(t)
-	labels := res.World.BuilderLabels()
-	a, err := EncodeChunked(res.Dataset, labels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := EncodeChunked(res.Dataset, labels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) != len(b) {
-		t.Fatalf("two encodings have %d and %d files", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].Name != b[i].Name || !bytes.Equal(a[i].Data, b[i].Data) {
-			t.Errorf("%s: two encodings of the same corpus differ", a[i].Name)
-		}
-	}
-}
-
 // TestDecodedAnalysisMatchesOriginal proves the serving plane's guarantee:
 // an analysis streamed from the decoded corpus renders byte-identical
 // artifacts to one built from the live simulation result.

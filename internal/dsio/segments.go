@@ -3,8 +3,9 @@
 // segment index that covers every segment with its size and SHA-256
 // digest. Writers emit days in order and publish the index last (the same
 // manifest-last rule the report writer follows), so a torn write can never
-// leave an index pointing at bytes that were not fully published. Readers open one day at a time, which is
-// what keeps the analysis build bounded-memory at 10×–100× corpus scale.
+// leave an index pointing at bytes that were not fully published. Readers
+// open one day at a time, which is what keeps the analysis build
+// bounded-memory at 10×–100× corpus scale.
 package dsio
 
 import (

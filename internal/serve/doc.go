@@ -22,12 +22,13 @@
 //  5. Graceful drain — shutdown stops accepting, lets in-flight requests
 //     finish (bounded), and reports a clean exit.
 //
-// Chunked corpora (internal/dsio day segments under dataset/) are loaded
-// by streaming — validation and the analysis index build hold one day at
-// a time — and their segments are served lazily: the manifest entry is
-// verified at load, the bytes are read per request and re-checked against
-// the manifest digest, so a large corpus never has to fit in the
-// snapshot's memory.
+// A directory's corpus (internal/dsio day segments under dataset/) is
+// loaded by streaming — validation and the analysis index build hold one
+// day at a time — and its segments are served lazily: the manifest entry
+// is verified at load, the bytes are read per request and re-checked
+// against the manifest digest, so a large corpus never has to fit in the
+// snapshot's memory. A directory that still ships the retired single-blob
+// dataset.gob is refused.
 //
 // On top of the snapshot sits the sustained-load tier (DESIGN.md §13).
 // Every cacheable route resolves through Cache, a sharded byte-budgeted

@@ -54,8 +54,9 @@ type Snapshot struct {
 	figureItems []figureItem
 
 	// Analysis is non-nil when the directory contained a chunked dataset/
-	// corpus: the per-day index queries answer from it. Artifact-only directories still serve
-	// downloads but report HasDataset=false in /api/v1/meta.
+	// corpus: the per-day index queries answer from it. Artifact-only
+	// directories still serve downloads but report HasDataset=false in
+	// /api/v1/meta.
 	Analysis *core.Analysis
 	// Counts is the corpus Table 1 inventory (zero when no dataset).
 	Counts dataset.Counts

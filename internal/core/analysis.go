@@ -275,8 +275,16 @@ func indexMEV(ds *dataset.Dataset) map[uint64][]mev.Label {
 	return out
 }
 
-// classify computes one block's statistics.
-func (a *Analysis) classify(b *dataset.Block, claims []relayClaim, labels []mev.Label) *BlockStat {
+// inclusionWaits collects a run of blocks' inclusion delays in chain
+// order: the seconds each publicly observed transaction waited between
+// its first sighting and its block, split by whether it touches an
+// address sanctioned at block time. Private flow has no public waiting
+// time.
+type inclusionWaits struct{ regular, sanctioned []float64 }
+
+// classify computes one block's statistics and appends the block's
+// inclusion delays to waits.
+func (a *Analysis) classify(b *dataset.Block, claims []relayClaim, labels []mev.Label, waits *inclusionWaits) *BlockStat {
 	st := &BlockStat{Block: b, Day: a.ds.Day(b.Time)}
 
 	// Relay claims (sorted for determinism).
@@ -317,25 +325,34 @@ func (a *Analysis) classify(b *dataset.Block, claims []relayClaim, labels []mev.
 	st.Value = tips.Add(direct)
 
 	// Private transactions: never observed by any vantage point before the
-	// block's timestamp. The payment transaction is excluded (it exists
-	// only inside the builder flow).
+	// block's timestamp. The payment transaction is excluded from the
+	// counts (it exists only inside the builder flow); every publicly
+	// observed transaction, the payment included, has an inclusion delay.
 	paymentIdx := -1
 	if st.PaymentDetected {
 		paymentIdx = len(b.Txs) - 1
 	}
 	for i, tx := range b.Txs {
-		if i == paymentIdx {
-			continue
+		counted := i != paymentIdx
+		if counted {
+			st.TotalTxs++
 		}
-		st.TotalTxs++
 		obs, ok := a.ds.Arrivals[tx.Hash()]
-		if !ok {
-			st.PrivateTxs++
+		var first time.Time
+		if ok {
+			first, ok = obs.FirstSeen()
+		}
+		if !ok || first.After(b.Time) {
+			if counted {
+				st.PrivateTxs++
+			}
 			continue
 		}
-		first, seen := obs.FirstSeen()
-		if !seen || first.After(b.Time) {
-			st.PrivateTxs++
+		wait := b.Time.Sub(first).Seconds()
+		if a.ds.Sanctions.IsSanctioned(tx.From, b.Time) || a.ds.Sanctions.IsSanctioned(tx.To, b.Time) {
+			waits.sanctioned = append(waits.sanctioned, wait)
+		} else {
+			waits.regular = append(waits.regular, wait)
 		}
 	}
 

@@ -93,43 +93,30 @@ func NewStreaming(ctx context.Context, src DaySource, opts ...Option) (*Analysis
 		}
 		dayStats := make([]*BlockStat, len(blocks))
 		shards := shardRanges(len(blocks), a.workers)
+		waits := make([]inclusionWaits, len(shards))
 		err = stats.ParallelDaysErr(ctx, len(shards), a.workers, func(s int) error {
 			for i := shards[s][0]; i < shards[s][1]; i++ {
 				b := blocks[i]
-				dayStats[i] = a.classify(b, claims[b.Hash], mevByBlock[b.Number])
+				dayStats[i] = a.classify(b, claims[b.Hash], mevByBlock[b.Number], &waits[s])
 			}
 			return nil
 		})
 		if err != nil {
 			return nil, fmt.Errorf("core: classify day %d: %w", day, err)
 		}
-		// The sequential tail of the batch: chain-order accumulation of
-		// the inclusion delays (publicly observed transactions only;
-		// private flow has no public waiting time), then the strip that
+		// The sequential tail of the batch: the shards' inclusion delays
+		// join in shard order, which is chain order, then the strip
 		// releases the batch's transaction payload.
+		for _, w := range waits {
+			delayRegular = append(delayRegular, w.regular...)
+			delaySanctioned = append(delaySanctioned, w.sanctioned...)
+		}
 		for _, st := range dayStats {
 			b := st.Block
 			a.counts.Blocks++
 			a.counts.Transactions += len(b.Txs)
 			a.counts.Logs += b.LogCount()
 			a.counts.Traces += len(b.Traces)
-			for _, tx := range b.Txs {
-				obs, ok := common.Arrivals[tx.Hash()]
-				if !ok {
-					continue
-				}
-				first, seen := obs.FirstSeen()
-				if !seen || first.After(b.Time) {
-					continue
-				}
-				wait := b.Time.Sub(first).Seconds()
-				if common.Sanctions.IsSanctioned(tx.From, b.Time) ||
-					common.Sanctions.IsSanctioned(tx.To, b.Time) {
-					delaySanctioned = append(delaySanctioned, wait)
-				} else {
-					delayRegular = append(delayRegular, wait)
-				}
-			}
 			st.Block = stripBlock(b)
 			a.stats = append(a.stats, st)
 			a.byNum[st.Block.Number] = st

@@ -33,6 +33,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"hash"
 )
 
 // HashSize is the byte length of Hash.
@@ -43,18 +44,44 @@ type Hash [HashSize]byte
 
 // Keccak256 hashes data with the simulation's 256-bit hash. The name keeps
 // call sites reading like Ethereum code; the implementation is domain-tagged
-// SHA-256 (see the package comment).
+// SHA-256 over length-prefixed parts (see the package comment).
 func Keccak256(data ...[]byte) Hash {
-	h := sha256.New()
-	h.Write([]byte("pbslab/keccak"))
+	h := NewHasher()
 	for _, d := range data {
-		var n [8]byte
-		binary.BigEndian.PutUint64(n[:], uint64(len(d)))
-		h.Write(n[:])
-		h.Write(d)
+		h.Add(d)
 	}
+	return h.Sum()
+}
+
+// keccakTag is the domain tag every Keccak256 digest starts with.
+var keccakTag = []byte("pbslab/keccak")
+
+// Hasher streams parts into Keccak256's framing: adding a, b, ... and then
+// calling Sum yields Keccak256(a, b, ...) without collecting the parts
+// first.
+type Hasher struct {
+	h hash.Hash
+	n [8]byte // length-prefix scratch
+}
+
+// NewHasher starts an empty Keccak256 stream.
+func NewHasher() *Hasher {
+	h := &Hasher{h: sha256.New()}
+	h.h.Write(keccakTag)
+	return h
+}
+
+// Add appends one part, length-prefixed.
+func (h *Hasher) Add(part []byte) {
+	binary.BigEndian.PutUint64(h.n[:], uint64(len(part)))
+	h.h.Write(h.n[:])
+	h.h.Write(part)
+}
+
+// Sum returns the digest of the parts added so far.
+func (h *Hasher) Sum() Hash {
 	var out Hash
-	copy(out[:], h.Sum(nil))
+	copy(out[:], h.h.Sum(nil))
 	return out
 }
 

@@ -1,6 +1,8 @@
 package crypto
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -24,6 +26,34 @@ func TestKeccak256LengthFraming(t *testing.T) {
 	// H("ab","c") != H("a","bc").
 	if Keccak256([]byte("ab"), []byte("c")) == Keccak256([]byte("a"), []byte("bc")) {
 		t.Error("length framing missing: split point does not affect digest")
+	}
+}
+
+// TestKeccak256Framing spells the framing out against SHA-256 directly:
+// the domain tag, then each part behind its 8-byte big-endian length. A
+// Hasher fed the same parts must agree.
+func TestKeccak256Framing(t *testing.T) {
+	for _, parts := range [][][]byte{nil, {nil}, {[]byte("a"), []byte("bc"), make([]byte, 300)}} {
+		ref := sha256.New()
+		ref.Write([]byte("pbslab/keccak"))
+		for _, p := range parts {
+			var n [8]byte
+			binary.BigEndian.PutUint64(n[:], uint64(len(p)))
+			ref.Write(n[:])
+			ref.Write(p)
+		}
+		var want Hash
+		copy(want[:], ref.Sum(nil))
+		if got := Keccak256(parts...); got != want {
+			t.Errorf("%d parts: Keccak256 %s, want %s", len(parts), got.Hex(), want.Hex())
+		}
+		h := NewHasher()
+		for _, p := range parts {
+			h.Add(p)
+		}
+		if got := h.Sum(); got != want {
+			t.Errorf("%d parts: Hasher %s, want %s", len(parts), got.Hex(), want.Hex())
+		}
 	}
 }
 

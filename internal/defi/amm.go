@@ -20,11 +20,10 @@ type Pair struct {
 	FeeBps uint64
 }
 
-// Storage slots for the reserves.
-const (
-	slotReserve0 = "r0"
-	slotReserve1 = "r1"
-)
+// reserveSlots are the pool's two reserve cells.
+func (p *Pair) reserveSlots() (r0, r1 state.Slot) {
+	return state.Slot{Contract: p.Addr, Kind: kindReserve0}, state.Slot{Contract: p.Addr, Kind: kindReserve1}
+}
 
 // NewPair creates an AMM pair with a deterministic address derived from the
 // venue name and the token symbols, and the standard 30 bps fee.
@@ -37,7 +36,8 @@ func NewPair(venue string, t0, t1 *Token) *Pair {
 
 // Reserves returns the current reserves (r0 for Token0, r1 for Token1).
 func (p *Pair) Reserves(st *state.State) (u256.Int, u256.Int) {
-	return st.Get(p.Addr, slotReserve0), st.Get(p.Addr, slotReserve1)
+	k0, k1 := p.reserveSlots()
+	return st.Get(k0), st.Get(k1)
 }
 
 // InitLiquidity seeds the pool: mints the reserve amounts to the pair and
@@ -45,8 +45,14 @@ func (p *Pair) Reserves(st *state.State) (u256.Int, u256.Int) {
 func (p *Pair) InitLiquidity(st *state.State, r0, r1 u256.Int) {
 	p.Token0.Mint(st, p.Addr, r0)
 	p.Token1.Mint(st, p.Addr, r1)
-	st.Set(p.Addr, slotReserve0, r0)
-	st.Set(p.Addr, slotReserve1, r1)
+	p.setReserves(st, r0, r1)
+}
+
+// setReserves writes both reserve cells.
+func (p *Pair) setReserves(st *state.State, r0, r1 u256.Int) {
+	k0, k1 := p.reserveSlots()
+	st.Set(k0, r0)
+	st.Set(k1, r1)
 }
 
 // tokens returns (in, out) token handles for a given input token address.
@@ -146,11 +152,9 @@ func (p *Pair) Call(env *evm.Env, from types.Address, value types.Wei, call evm.
 	}
 	r0, r1 := p.Reserves(st)
 	if in == p.Token0 {
-		st.Set(p.Addr, slotReserve0, r0.Add(amountIn))
-		st.Set(p.Addr, slotReserve1, r1.Sub(quote))
+		p.setReserves(st, r0.Add(amountIn), r1.Sub(quote))
 	} else {
-		st.Set(p.Addr, slotReserve1, r1.Add(amountIn))
-		st.Set(p.Addr, slotReserve0, r0.Sub(quote))
+		p.setReserves(st, r0.Sub(quote), r1.Add(amountIn))
 	}
 
 	w := &dataWriter{}
@@ -164,8 +168,7 @@ func (p *Pair) Call(env *evm.Env, from types.Address, value types.Wei, call evm.
 func (p *Pair) ShiftReserves(st *state.State, tokenIn types.Address, in, out u256.Int) {
 	r0, r1 := p.Reserves(st)
 	r0, r1 = p.ShiftedReserves(r0, r1, tokenIn, in, out)
-	st.Set(p.Addr, slotReserve0, r0)
-	st.Set(p.Addr, slotReserve1, r1)
+	p.setReserves(st, r0, r1)
 }
 
 // ShiftedReserves is ShiftReserves as pure arithmetic: the reserves

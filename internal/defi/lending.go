@@ -28,13 +28,20 @@ type Lending struct {
 	BonusBps uint64
 }
 
-// Storage slots.
-const (
-	slotPrice = "price" // debt-token wei per 1 ETH (1e18 collateral wei)
-)
+// priceSlot holds the oracle price: debt-token wei per 1 ETH (1e18
+// collateral wei).
+func (l *Lending) priceSlot() state.Slot {
+	return state.Slot{Contract: l.Addr, Kind: kindPrice}
+}
 
-func collKey(user types.Address) string { return keysFor(user).coll }
-func debtKey(user types.Address) string { return keysFor(user).debt }
+// collSlot and debtSlot are user's position cells.
+func (l *Lending) collSlot(user types.Address) state.Slot {
+	return state.Slot{Contract: l.Addr, Kind: kindCollateral, Holder: user}
+}
+
+func (l *Lending) debtSlot(user types.Address) state.Slot {
+	return state.Slot{Contract: l.Addr, Kind: kindDebt, Holder: user}
+}
 
 // oneEther is the price scale: prices are debt-wei per 1e18 collateral wei.
 var oneEther = u256.New(1_000_000_000_000_000_000)
@@ -52,17 +59,17 @@ func NewLending(name string, debt *Token, oracle types.Address) *Lending {
 
 // Price returns the oracle price (debt-wei per ETH).
 func (l *Lending) Price(st *state.State) u256.Int {
-	return st.Get(l.Addr, slotPrice)
+	return st.Get(l.priceSlot())
 }
 
 // SetPriceGenesis seeds the initial price outside transaction flow.
 func (l *Lending) SetPriceGenesis(st *state.State, price u256.Int) {
-	st.Set(l.Addr, slotPrice, price)
+	st.Set(l.priceSlot(), price)
 }
 
 // Position returns a user's collateral (ETH wei) and debt (token wei).
 func (l *Lending) Position(st *state.State, user types.Address) (coll, debt u256.Int) {
-	return st.Get(l.Addr, collKey(user)), st.Get(l.Addr, debtKey(user))
+	return st.Get(l.collSlot(user)), st.Get(l.debtSlot(user))
 }
 
 // debtValueOK reports whether a debt is within the threshold for the given
@@ -108,7 +115,7 @@ func (l *Lending) oracleSet(env *evm.Env, from types.Address, value types.Wei, c
 	if call.Amount.IsZero() {
 		return fmt.Errorf("lending: zero price")
 	}
-	env.State.Set(l.Addr, slotPrice, call.Amount)
+	env.State.Set(l.priceSlot(), call.Amount)
 	w := &dataWriter{}
 	env.EmitLog(l.Addr, []types.Hash{TopicOracleUpdate}, w.amount(call.Amount).bytes())
 	return nil
@@ -135,8 +142,8 @@ func (l *Lending) borrow(env *evm.Env, from types.Address, value types.Wei, call
 		return err
 	}
 	l.Debt.Mint(st, from, debt)
-	st.Set(l.Addr, collKey(from), newColl)
-	st.Set(l.Addr, debtKey(from), newDebt)
+	st.Set(l.collSlot(from), newColl)
+	st.Set(l.debtSlot(from), newDebt)
 	w := &dataWriter{}
 	env.EmitLog(l.Addr, []types.Hash{TopicBorrow, AddrTopic(from)},
 		w.amount(value).amount(debt).bytes())
@@ -158,7 +165,7 @@ func (l *Lending) repay(env *evm.Env, from types.Address, value types.Wei, call 
 	if err := l.Debt.Burn(env.State, from, amount); err != nil {
 		return err
 	}
-	env.State.Set(l.Addr, debtKey(from), debt.Sub(amount))
+	env.State.Set(l.debtSlot(from), debt.Sub(amount))
 	w := &dataWriter{}
 	env.EmitLog(l.Addr, []types.Hash{TopicRepay, AddrTopic(from)},
 		w.amount(amount).bytes())
@@ -196,8 +203,8 @@ func (l *Lending) liquidate(env *evm.Env, from types.Address, value types.Wei, c
 	if err := env.TransferETH(l.Addr, from, seized); err != nil {
 		return err
 	}
-	st.Set(l.Addr, collKey(borrower), coll.Sub(seized))
-	st.Set(l.Addr, debtKey(borrower), u256.Zero)
+	st.Set(l.collSlot(borrower), coll.Sub(seized))
+	st.Set(l.debtSlot(borrower), u256.Zero)
 	w := &dataWriter{}
 	env.EmitLog(l.Addr, []types.Hash{TopicLiquidation, AddrTopic(from), AddrTopic(borrower)},
 		w.amount(debt).amount(seized).bytes())

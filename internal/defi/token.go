@@ -2,7 +2,6 @@ package defi
 
 import (
 	"fmt"
-	"sync"
 
 	"github.com/ethpbs/pbslab/internal/crypto"
 	"github.com/ethpbs/pbslab/internal/evm"
@@ -11,30 +10,21 @@ import (
 	"github.com/ethpbs/pbslab/internal/u256"
 )
 
-// addrKeys memoizes the composed per-address storage-slot keys. Key strings
-// are built from a hex encoding on every balance or position access, which
-// profiles as the single largest allocation site in a simulation; the
-// address population is bounded, so caching the three composed strings per
-// address removes those allocations entirely. sync.Map because the parallel
-// slot engine executes transactions from several goroutines.
-type addrKeys struct{ bal, coll, debt string }
-
-var keyCache sync.Map // types.Address -> *addrKeys
-
-func keysFor(a types.Address) *addrKeys {
-	if v, ok := keyCache.Load(a); ok {
-		return v.(*addrKeys)
-	}
-	h := a.Hex()
-	v, _ := keyCache.LoadOrStore(a, &addrKeys{
-		bal: "bal:" + h, coll: "coll:" + h, debt: "debt:" + h,
-	})
-	return v.(*addrKeys)
-}
+// Storage-cell kinds of the defi contracts (state.Slot.Kind). Balances,
+// collateral and debt are per-holder cells; reserves and the oracle price
+// are contract-wide, with a zero holder.
+const (
+	kindReserve0 uint8 = iota + 1
+	kindReserve1
+	kindPrice
+	kindBalance
+	kindCollateral
+	kindDebt
+)
 
 // Token is an ERC-20 style fungible token. Balances live in the token
-// contract's storage under "bal:<holder>" so speculative state copies carry
-// them automatically.
+// contract's storage, one balance cell per holder, so speculative state
+// copies carry them automatically.
 type Token struct {
 	Addr   types.Address
 	Symbol string
@@ -46,29 +36,32 @@ func NewToken(symbol string) *Token {
 	return &Token{Addr: crypto.AddressFromSeed("token/" + symbol), Symbol: symbol}
 }
 
-func balKey(holder types.Address) string { return keysFor(holder).bal }
+// balSlot is holder's balance cell in the token's storage.
+func (t *Token) balSlot(holder types.Address) state.Slot {
+	return state.Slot{Contract: t.Addr, Kind: kindBalance, Holder: holder}
+}
 
 // BalanceOf returns holder's token balance.
 func (t *Token) BalanceOf(st *state.State, holder types.Address) u256.Int {
-	return st.Get(t.Addr, balKey(holder))
+	return st.Get(t.balSlot(holder))
 }
 
 // Mint credits newly created tokens; for genesis and market operations.
 func (t *Token) Mint(st *state.State, holder types.Address, amount u256.Int) {
-	st.AddTo(t.Addr, balKey(holder), amount)
+	st.AddTo(t.balSlot(holder), amount)
 }
 
 // Burn destroys tokens from holder, failing when the balance is short.
 func (t *Token) Burn(st *state.State, holder types.Address, amount u256.Int) error {
-	return st.SubFrom(t.Addr, balKey(holder), amount)
+	return st.SubFrom(t.balSlot(holder), amount)
 }
 
 // move shifts balance between holders without logging; Call wraps it.
 func (t *Token) move(st *state.State, from, to types.Address, amount u256.Int) error {
-	if err := st.SubFrom(t.Addr, balKey(from), amount); err != nil {
+	if err := st.SubFrom(t.balSlot(from), amount); err != nil {
 		return fmt.Errorf("token %s: %w", t.Symbol, err)
 	}
-	st.AddTo(t.Addr, balKey(to), amount)
+	st.AddTo(t.balSlot(to), amount)
 	return nil
 }
 

@@ -58,8 +58,6 @@ type Submission struct {
 	Block *types.Block
 	// Signature is the builder's signature over the trace.
 	Signature types.Signature
-	// ReceivedAt is stamped by the relay.
-	ReceivedAt time.Time
 }
 
 // SignSubmission signs the trace with the builder key.

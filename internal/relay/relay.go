@@ -142,7 +142,8 @@ type DeliveredEntry struct {
 
 // ChainView is the relay's validation interface onto the chain. The
 // simulator passes a cache primed with each build's own execution, so a
-// block submitted to several relays is executed once, when it is packed.
+// block submitted to several relays is executed once, when it is packed,
+// and relays that share the view validate concurrently against it.
 type ChainView interface {
 	Validate(block *types.Block) (*chain.ProcessResult, *state.State, error)
 }
@@ -303,7 +304,10 @@ func (r *Relay) filterCatchesSandwich(l mev.Label) bool {
 	return draw < cov
 }
 
-// SubmitBlock processes one builder submission at wall-clock time at.
+// SubmitBlock processes one builder submission at wall-clock time at. It
+// only reads sub, so several relays may take the same submission from
+// different goroutines, provided their ChainView is safe for concurrent
+// reads.
 func (r *Relay) SubmitBlock(at time.Time, sub *pbs.Submission) error {
 	vk, ok := r.builderVKs[sub.Trace.BuilderPubkey]
 	if !ok {
@@ -356,7 +360,6 @@ func (r *Relay) SubmitBlock(at time.Time, sub *pbs.Submission) error {
 		}
 	}
 
-	sub.ReceivedAt = at
 	slot := sub.Trace.Slot
 	r.subsBySlot[slot] = append(r.subsBySlot[slot], sub)
 	r.byHash[sub.Trace.BlockHash] = sub

@@ -2,6 +2,8 @@ package relay
 
 import (
 	"errors"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -53,7 +55,12 @@ func newFixture(t *testing.T) *fixture {
 }
 
 func (f *fixture) newRelay(p Policy) *Relay {
-	r := New(p, f.chain, f.sanctions)
+	return f.newRelayOn(p, f.chain)
+}
+
+// newRelayOn is newRelay validating through view.
+func (f *fixture) newRelayOn(p Policy, view ChainView) *Relay {
+	r := New(p, view, f.sanctions)
 	r.AllowBuilder(f.builder.PubKeys()[0], f.builder.VerificationKey(chain.MergeSlot+1))
 	r.RegisterValidator(pbs.Registration{
 		Pubkey:       f.valKey.Pub(),
@@ -486,5 +493,117 @@ func TestBuildersSeenRange(t *testing.T) {
 	}
 	if got := r.BuildersSeen(sub.Trace.Slot, sub.Trace.Slot); len(got) != 1 {
 		t.Error("in-range slot missed")
+	}
+}
+
+// primedView is a read-only ChainView, as the slot engine's validation
+// cache is while the relays commit: every block is validated up front and
+// Validate only reads the map. A block nobody primed panics, because
+// filling the map lazily would write state the relays share.
+type primedView map[types.Hash]primedResult
+
+type primedResult struct {
+	res *chain.ProcessResult
+	st  *state.State
+	err error
+}
+
+func (v primedView) Validate(b *types.Block) (*chain.ProcessResult, *state.State, error) {
+	p, ok := v[b.Hash()]
+	if !ok {
+		panic("relay test: validated a block that was never primed")
+	}
+	return p.res, p.st, p.err
+}
+
+// TestRelaysShareSubmissionsConcurrently feeds the same submissions to
+// several relays over one primed view, once relay by relay and once with
+// every relay on its own goroutine. Both runs must end with the same
+// records, best bids and rejection counts. Under -race the concurrent run
+// also fails if SubmitBlock writes to a submission the relays share.
+func TestRelaysShareSubmissionsConcurrently(t *testing.T) {
+	f := newFixture(t)
+	lie := builder.Args{
+		Chain: f.chain, Slot: chain.MergeSlot + 1,
+		ProposerPubkey:       f.valKey.Pub(),
+		ProposerFeeRecipient: proposerFee,
+		Pending:              []*types.Transaction{transferTx(alice, 0, 70, bob)},
+	}
+	lieRes, _ := f.builder.Build(lie)
+	lieRes.Payment = lieRes.Payment.Add(types.Ether(100))
+	subs := []*pbs.Submission{
+		f.buildSubmission(t, []*types.Transaction{transferTx(alice, 0, 10, bob)}),
+		f.buildSubmission(t, []*types.Transaction{transferTx(alice, 0, 90, bob)}),
+		f.buildSubmission(t, []*types.Transaction{transferTx(badActor, 0, 95, bob)}),
+		f.builder.Submission(lie, lieRes),
+		f.buildSubmission(t, []*types.Transaction{transferTx(alice, 0, 50, bob)}),
+		f.buildSubmission(t, []*types.Transaction{transferTx(alice, 0, 99, bob)}),
+	}
+	view := primedView{}
+	for _, sub := range subs {
+		res, st, err := f.chain.ValidateFork(sub.Block)
+		view[sub.Block.Hash()] = primedResult{res, st, err}
+	}
+	view[subs[5].Block.Hash()] = primedResult{err: errors.New("primed validation failure")}
+
+	window := []Window{{From: f.at.Add(-time.Hour), To: f.at.Add(time.Hour)}}
+	policies := []Policy{
+		honestPolicy(),
+		{Name: "Censoring", Access: AccessPermissionless, OFACCompliant: true},
+		{Name: "Laggy", Access: AccessPermissionless, OFACCompliant: true,
+			Faults: Faults{BlacklistApplied: map[string]time.Time{"2022-08-08": neverApplied}}},
+		{Name: "NoValueCheck", Access: AccessPermissionless, Faults: Faults{NoValueCheck: window}},
+		{Name: "NoValidation", Access: AccessPermissionless, OFACCompliant: true,
+			Faults: Faults{NoBlockValidation: window}},
+		{Name: "Filter", Access: AccessPermissionless, MEVFilter: true,
+			Faults: Faults{SandwichFilterCoverage: 1}},
+	}
+	relays := func() []*Relay {
+		out := make([]*Relay, len(policies))
+		for i, p := range policies {
+			out[i] = f.newRelayOn(p, view)
+		}
+		return out
+	}
+
+	seq := relays()
+	for _, r := range seq {
+		for _, sub := range subs {
+			_ = r.SubmitBlock(f.at, sub)
+		}
+	}
+	par := relays()
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, r := range par {
+		wg.Add(1)
+		go func(r *Relay) {
+			defer wg.Done()
+			<-start
+			for _, sub := range subs {
+				_ = r.SubmitBlock(f.at, sub)
+			}
+		}(r)
+	}
+	close(start)
+	wg.Wait()
+
+	for i := range seq {
+		name := policies[i].Name
+		if !reflect.DeepEqual(par[i].Received(), seq[i].Received()) {
+			t.Errorf("%s: concurrent records differ from sequential ones", name)
+		}
+		if par[i].Rejected() != seq[i].Rejected() {
+			t.Errorf("%s: rejected %d concurrently, %d sequentially", name, par[i].Rejected(), seq[i].Rejected())
+		}
+		want, wantErr := seq[i].GetHeader(chain.MergeSlot+1, f.valKey.Pub())
+		got, gotErr := par[i].GetHeader(chain.MergeSlot+1, f.valKey.Pub())
+		if (wantErr == nil) != (gotErr == nil) || (wantErr == nil && (got.BlockHash != want.BlockHash || got.Value != want.Value)) {
+			t.Errorf("%s: best bid %+v (%v), want %+v (%v)", name, got, gotErr, want, wantErr)
+		}
+	}
+	// The policies must disagree, or the comparison shows little.
+	if seq[0].Rejected() == seq[1].Rejected() || seq[1].Rejected() == seq[2].Rejected() {
+		t.Errorf("policies agree: rejections %d, %d, %d", seq[0].Rejected(), seq[1].Rejected(), seq[2].Rejected())
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/ethpbs/pbslab/internal/atomicio"
 	"github.com/ethpbs/pbslab/internal/dataset"
 	"github.com/ethpbs/pbslab/internal/faults"
 	"github.com/ethpbs/pbslab/internal/report"
@@ -740,6 +741,8 @@ func TestServePollerHotSwapsAndDedupsRejects(t *testing.T) {
 	waitFor("automatic hot swap", func() bool { return s.Store().Status().Generation == 2 })
 
 	// 2. Break the manifest: one artifact's recorded hash no longer matches.
+	// It is replaced atomically, as the real writer does, so no poll reads
+	// a truncated manifest between the two candidates.
 	manifestPath := filepath.Join(dir, report.ManifestName)
 	raw, err := os.ReadFile(manifestPath)
 	if err != nil {
@@ -754,7 +757,7 @@ func TestServePollerHotSwapsAndDedupsRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(manifestPath, broken, 0o644); err != nil {
+	if err := atomicio.WriteFile(manifestPath, broken, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	waitFor("degradation after corrupt manifest", func() bool { return s.Store().Status().Degraded })

@@ -25,7 +25,10 @@ import (
 // checkpoint struct so stale files are skipped rather than misdecoded.
 // Version 2 day-shards the chain: sealed days live in immutable shard
 // files and the head checkpoint carries only the open day's blocks.
-const checkpointVersion = 2
+// Version 3 stores state.Slot as a fixed-width key (contract, kind,
+// holder) instead of a contract and a string; gob would decode a version-2
+// key with its string dropped, so the version must refuse it.
+const checkpointVersion = 3
 
 // defaultCheckpointKeep bounds retained checkpoint files per directory.
 const defaultCheckpointKeep = 3

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"errors"
 	"os"
 	"path/filepath"
@@ -9,6 +11,11 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"github.com/ethpbs/pbslab/internal/chain"
+	"github.com/ethpbs/pbslab/internal/crypto"
+	"github.com/ethpbs/pbslab/internal/types"
+	"github.com/ethpbs/pbslab/internal/u256"
 )
 
 // sameResult compares the observable outcome of two runs: the canonical
@@ -203,6 +210,76 @@ func TestResumeRejectsForeignScenario(t *testing.T) {
 		t.Fatal(err)
 	}
 	baseline, err := Run(context.Background(), other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, baseline, res)
+}
+
+// v2Slot, v2Snapshot and v2Head mirror the head of a version-2 checkpoint,
+// whose storage keys were a contract and a string.
+type v2Slot struct {
+	Contract types.Address
+	Key      string
+}
+
+type v2Snapshot struct {
+	Balances map[types.Address]types.Wei
+	Storage  map[v2Slot]u256.Int
+}
+
+type v2Head struct {
+	Version     int
+	Fingerprint string
+	Slot        uint64
+	State       v2Snapshot
+}
+
+// TestResumeRefusesVersion2Checkpoint writes a head in the version-2
+// layout. Gob decodes it into today's checkpoint with every storage key's
+// string dropped, so only the version can refuse it: resume must skip the
+// file and start over. The head carries the current scenario fingerprint,
+// so the version check alone is under test.
+func TestResumeRefusesVersion2Checkpoint(t *testing.T) {
+	sc := shortScenario(2)
+	dir := t.TempDir()
+	token := crypto.AddressFromSeed("token/WETH")
+	head := v2Head{
+		Version:     2,
+		Fingerprint: scenarioFingerprint(sc),
+		Slot:        chain.MergeSlot + 5,
+		State: v2Snapshot{
+			Balances: map[types.Address]types.Wei{token: types.Ether(1)},
+			Storage:  map[v2Slot]u256.Int{{Contract: token, Key: "bal:" + token.Hex()}: types.Ether(2)},
+		},
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(head); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, checkpointName(head.Slot)), buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	decoded := &checkpoint{}
+	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(decoded); err != nil {
+		t.Fatalf("a version-2 head no longer decodes, so this test checks nothing: %v", err)
+	}
+	if err := restore(nil, nil, decoded, dir); err == nil {
+		t.Fatal("restore accepted a version-2 checkpoint")
+	}
+	cp, err := loadLatestCheckpoint(dir, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cp != nil {
+		t.Fatalf("loaded a version-%d checkpoint, want it skipped", cp.Version)
+	}
+	res, err := RunOpts(context.Background(), sc, RunOptions{CheckpointDir: dir, Resume: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseline, err := Run(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,9 +16,10 @@ package sim
 //      against the head, and the build's own fork and execution are primed
 //      into the shared validation cache. The relays judge the block on that
 //      execution; no block is executed a second time.
-//   D. Commit (sequential): submissions reach the relays in builder order,
-//      so order-sensitive relay state (best-bid replacement is
-//      strictly-greater) does not depend on the worker count.
+//   D. Commit (parallel per relay): each relay takes its own submissions
+//      in builder order on one goroutine, so order-sensitive relay state
+//      (best-bid replacement is strictly-greater) does not depend on the
+//      worker count, and no relay state is shared between goroutines.
 //
 // Worker panics are isolated by the stats worker pool and surface as run
 // errors instead of crashing sibling builds.
@@ -32,6 +33,7 @@ import (
 	"github.com/ethpbs/pbslab/internal/chain"
 	"github.com/ethpbs/pbslab/internal/ofac"
 	"github.com/ethpbs/pbslab/internal/pbs"
+	"github.com/ethpbs/pbslab/internal/relay"
 	"github.com/ethpbs/pbslab/internal/rng"
 	"github.com/ethpbs/pbslab/internal/searcher"
 	"github.com/ethpbs/pbslab/internal/state"
@@ -69,6 +71,12 @@ type slotEngine struct {
 	par   []*buildTask // subset built in parallel (distinct builders)
 	seq   []*buildTask // exploit subset (shared exploiter RNG: built in order)
 
+	// relays and relayIdx resolve World.RelayOrder; subs[i] is relay i's
+	// phase-D queue, reused across slots.
+	relays   []*relay.Relay
+	relayIdx map[string]int
+	subs     [][]*pbs.Submission
+
 	// sanctions is the registry's day-after-rule blacklist, shared by the
 	// filtering builders that are not aligned with a relay.
 	sanctions *ofac.Schedule
@@ -83,11 +91,25 @@ var adoptCheck func(c *chain.Chain, block *types.Block, adopted cachedValidation
 // newSlotEngine builds a run's slot engine over the world's shared
 // validation cache, with a pool of workers.
 func newSlotEngine(w *World, workers int) *slotEngine {
-	return &slotEngine{
+	eng := &slotEngine{
 		w:         w,
 		view:      w.view,
 		workers:   workers,
+		relayIdx:  make(map[string]int, len(w.RelayOrder)),
+		subs:      make([][]*pbs.Submission, len(w.RelayOrder)),
 		sanctions: ofac.NewSchedule(w.Sanctions, nil),
+	}
+	for i, name := range w.RelayOrder {
+		eng.relays = append(eng.relays, w.Relays[name])
+		eng.relayIdx[name] = i
+	}
+	return eng
+}
+
+// queue appends sub to the phase-D queue of the named relay, if it runs.
+func (eng *slotEngine) queue(name string, sub *pbs.Submission) {
+	if i, ok := eng.relayIdx[name]; ok {
+		eng.subs[i] = append(eng.subs[i], sub)
 	}
 }
 
@@ -261,22 +283,39 @@ func (eng *slotEngine) runSlot(now time.Time, slot uint64, proposerPub types.Pub
 		eng.view.prime(h, cv)
 	}
 
-	// Phase D: sequential commit in builder order.
+	// Phase D: each relay takes its submissions in builder order, and the
+	// relays run concurrently. A relay's state is touched only by the
+	// goroutine that owns its index. The relays share the submissions and
+	// the view; SubmitBlock only reads a submission, and every lookup it
+	// makes in the view is a hit, because phase C primed every block queued
+	// here. A miss would write the shared cache map, so this fan-out is
+	// safe only while that holds; the -race goldens at several worker
+	// counts check it.
+	for i := range eng.subs {
+		clear(eng.subs[i])
+		eng.subs[i] = eng.subs[i][:0]
+	}
 	for _, t := range eng.order {
 		if !t.ok {
 			continue
 		}
 		if t.exploit {
-			if r, ok := w.Relays[t.relayOne]; ok {
-				_ = r.SubmitBlock(now, t.sub)
-			}
+			eng.queue(t.relayOne, t.sub)
 			continue
 		}
 		for _, name := range t.e.Spec.Profile.Relays {
-			if r, ok := w.Relays[name]; ok {
-				_ = r.SubmitBlock(now, t.sub)
-			}
+			eng.queue(name, t.sub)
 		}
+	}
+	err := stats.ParallelDaysErr(context.Background(), len(eng.relays), eng.workers, func(i int) error {
+		r := eng.relays[i]
+		for _, sub := range eng.subs[i] {
+			_ = r.SubmitBlock(now, sub)
+		}
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("sim: slot %d: relay commit: %w", slot, err)
 	}
 	return nil
 }

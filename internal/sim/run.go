@@ -64,8 +64,10 @@ type Result struct {
 // distinct block per slot round. The slot engine primes it with each
 // build's own fork and recorded execution, so a relay check is a cache hit
 // that reads the execution the builder ran. A miss (a block the engine did
-// not build) validates on a copy-on-write fork. The cache is cleared every
-// slot, so a fork never outlives its base.
+// not build) validates on a copy-on-write fork and writes the map, so it
+// must not happen while the relays validate concurrently; phase D only
+// submits primed blocks. The cache is cleared every slot, so a fork never
+// outlives its base.
 type cachingView struct {
 	c     *chain.Chain
 	cache map[types.Hash]cachedValidation
@@ -123,8 +125,9 @@ type RunOptions struct {
 	// simulation goroutine and must not touch the scenario's RNG streams.
 	OnSlot func(slot uint64)
 	// Workers sets the slot engine's pool width: builder block construction
-	// fans out over that many workers. 0 means GOMAXPROCS. Results are
-	// byte-identical at every setting (the digest goldens enforce it).
+	// and the relays' commit fan out over that many workers. 0 means
+	// GOMAXPROCS. Results are byte-identical at every setting (the digest
+	// goldens enforce it).
 	Workers int
 }
 

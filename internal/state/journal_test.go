@@ -21,7 +21,7 @@ type journalOp struct {
 
 var (
 	opAccts = []types.Address{alice, bob, pool, crypto.AddressFromSeed("carol")}
-	opKeys  = []string{"r0", "r1", "bal:x", "bal:y"}
+	opKeys  = []Slot{r0, r1, balX, balY}
 )
 
 func randomOps(r *rand.Rand, n int) []journalOp {
@@ -44,7 +44,7 @@ func apply(s *State, ops []journalOp) {
 		case 1:
 			_ = s.Debit(a, u256.New(o.v))
 		case 2:
-			s.Set(pool, opKeys[o.key], u256.New(o.v))
+			s.Set(opKeys[o.key], u256.New(o.v))
 		case 3:
 			s.IncNonce(a)
 		case 4:
@@ -65,8 +65,8 @@ func opBase() *State {
 	s.SetBalance(alice, u256.New(5))
 	s.SetBalance(bob, u256.New(2))
 	s.SetNonce(alice, 3)
-	s.Set(pool, "r0", u256.New(7))
-	s.Set(pool, "bal:x", u256.New(1))
+	s.Set(r0, u256.New(7))
+	s.Set(balX, u256.New(1))
 	s.ClearJournal()
 	return s
 }
@@ -112,7 +112,7 @@ func TestRecycledJournalMatchesFresh(t *testing.T) {
 			}
 		}
 		for _, k := range opKeys {
-			if fresh.Get(pool, k) != reused.Get(pool, k) || reused.Get(pool, k) != base.Get(pool, k) {
+			if fresh.Get(k) != reused.Get(k) || reused.Get(k) != base.Get(k) {
 				t.Fatalf("round %d: slot %s differs after full revert", round, k)
 			}
 		}
@@ -141,13 +141,13 @@ func TestReleasedForkStaysReadable(t *testing.T) {
 	base := opBase()
 	f := base.Fork()
 	f.Credit(alice, u256.New(10))
-	f.Set(pool, "r1", u256.New(9))
-	f.Set(pool, "r0", u256.Zero)
+	f.Set(r1, u256.New(9))
+	f.Set(r0, u256.Zero)
 	recycled := f.journal
 	f.Release()
 	f.Release() // idempotent
 
-	if f.Balance(alice) != u256.New(15) || f.Get(pool, "r1") != u256.New(9) || !f.Get(pool, "r0").IsZero() {
+	if f.Balance(alice) != u256.New(15) || f.Get(r1) != u256.New(9) || !f.Get(r0).IsZero() {
 		t.Fatal("released fork lost its writes")
 	}
 	if f.Snapshot() != 0 {
@@ -262,7 +262,7 @@ func BenchmarkForkApplyRelease(b *testing.B) {
 			f.IncNonce(from)
 			_ = f.Debit(from, u256.New(3))
 			f.Credit(to, u256.New(3))
-			f.Set(pool, "r0", u256.New(uint64(tx)))
+			f.Set(r0, u256.New(uint64(tx)))
 			if tx%10 == 9 {
 				f.RevertTo(snap)
 			}

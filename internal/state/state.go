@@ -17,11 +17,25 @@ import (
 	"github.com/ethpbs/pbslab/internal/u256"
 )
 
-// Slot identifies one storage cell within a contract. Slots are small
-// strings ("r0", "bal:0xabc…"), chosen for debuggability over hashing.
+// Slot identifies one storage cell: the contract, the kind of cell (the
+// contract package declares its kinds: a token balance, an AMM reserve,
+// ...), and the holder the cell belongs to, zero for contract-wide cells.
+// The key is fixed-width and pointer-free, so hashing it is one pass over
+// its bytes and the collector never scans the storage maps and undo
+// journals that hold it.
 type Slot struct {
 	Contract types.Address
-	Key      string
+	Kind     uint8
+	Holder   types.Address
+}
+
+// String renders the slot for error text: contract/kind, then the holder
+// when the cell has one.
+func (k Slot) String() string {
+	if k.Holder == (types.Address{}) {
+		return fmt.Sprintf("%s/%d", k.Contract, k.Kind)
+	}
+	return fmt.Sprintf("%s/%d/%s", k.Contract, k.Kind, k.Holder)
 }
 
 // State is the mutable world state. It is not safe for concurrent use; each
@@ -42,7 +56,16 @@ type State struct {
 	// deletions shadow the base). The base must not be mutated while forks
 	// of it are alive; concurrent forks may then read it safely.
 	base *State
+	// forkSize holds the entry counts of the last fork AbsorbFork folded
+	// into this state. Fork sizes a new fork's maps to them: the forks of
+	// one base (a slot round's builds) write about as many keys as the
+	// block the previous round committed, so they skip regrowing their
+	// maps from empty while they pack.
+	forkSize mapSizes
 }
+
+// mapSizes counts a state's own balance, nonce and storage entries.
+type mapSizes struct{ balances, nonces, storage int }
 
 // undo is one reversible mutation.
 type undo struct {
@@ -165,6 +188,7 @@ func (s *State) AbsorbFork(f *State) error {
 	if f.base != s {
 		return fmt.Errorf("state: AbsorbFork of a state that is not a direct fork of the receiver")
 	}
+	s.forkSize = mapSizes{len(f.balances), len(f.nonces), len(f.storage)}
 	for a, v := range f.balances {
 		s.balances[a] = v
 	}
@@ -186,13 +210,15 @@ func (s *State) AbsorbFork(f *State) error {
 // slot engine hands each speculative execution (builder blocks, the local
 // block, searcher probes) its own fork of the canonical state; s must stay
 // unmutated while the fork is alive, which also makes several forks of one
-// base safe to use from different goroutines. The fork's undo
-// journal reuses an array a Released fork gave back, when one is pooled.
+// base safe to use from different goroutines. The fork's maps are sized
+// to the last fork absorbed into s, and its undo journal reuses an array a
+// Released fork gave back, when one is pooled.
 func (s *State) Fork() *State {
+	n := s.forkSize
 	f := &State{
-		balances: map[types.Address]types.Wei{},
-		nonces:   map[types.Address]uint64{},
-		storage:  map[Slot]u256.Int{},
+		balances: make(map[types.Address]types.Wei, n.balances),
+		nonces:   make(map[types.Address]uint64, n.nonces),
+		storage:  make(map[Slot]u256.Int, n.storage),
 		base:     s,
 	}
 	if j, ok := journalPool.Get().(*[]undo); ok {
@@ -361,14 +387,14 @@ func (s *State) IncNonce(addr types.Address) {
 }
 
 // Get reads a storage slot (zero when unset).
-func (s *State) Get(contract types.Address, key string) u256.Int {
+func (s *State) Get(k Slot) u256.Int {
 	if len(s.storage) > 0 {
-		if v, ok := s.storage[Slot{contract, key}]; ok {
+		if v, ok := s.storage[k]; ok {
 			return v
 		}
 	}
 	if s.base != nil {
-		return s.base.Get(contract, key)
+		return s.base.Get(k)
 	}
 	return u256.Int{}
 }
@@ -376,29 +402,28 @@ func (s *State) Get(contract types.Address, key string) u256.Int {
 // Set writes a storage slot. Writing zero deletes the slot, keeping Copy
 // costs proportional to live state; in a fork the zero is stored as a
 // tombstone instead so the deletion shadows the base.
-func (s *State) Set(contract types.Address, key string, v u256.Int) {
-	sl := Slot{contract, key}
-	s.noteStorage(sl)
+func (s *State) Set(k Slot, v u256.Int) {
+	s.noteStorage(k)
 	if v.IsZero() && s.base == nil {
-		delete(s.storage, sl)
+		delete(s.storage, k)
 		return
 	}
-	s.storage[sl] = v
+	s.storage[k] = v
 }
 
 // AddTo adds v to a storage slot interpreted as an amount.
-func (s *State) AddTo(contract types.Address, key string, v u256.Int) {
-	s.Set(contract, key, s.Get(contract, key).Add(v))
+func (s *State) AddTo(k Slot, v u256.Int) {
+	s.Set(k, s.Get(k).Add(v))
 }
 
 // SubFrom subtracts v from a storage slot, failing without mutation when the
 // stored amount is insufficient.
-func (s *State) SubFrom(contract types.Address, key string, v u256.Int) error {
-	cur := s.Get(contract, key)
+func (s *State) SubFrom(k Slot, v u256.Int) error {
+	cur := s.Get(k)
 	if cur.Lt(v) {
-		return fmt.Errorf("state: slot %s/%s underflow: have %s, need %s", contract, key, cur, v)
+		return fmt.Errorf("state: slot %s underflow: have %s, need %s", k, cur, v)
 	}
-	s.Set(contract, key, cur.Sub(v))
+	s.Set(k, cur.Sub(v))
 	return nil
 }
 

@@ -1,6 +1,8 @@
 package state
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 	"reflect"
 	"testing"
@@ -14,6 +16,15 @@ var (
 	alice = crypto.AddressFromSeed("alice")
 	bob   = crypto.AddressFromSeed("bob")
 	pool  = crypto.AddressFromSeed("pool")
+
+	// Storage cells of the test contract: contract-wide r0, r1, r2 and
+	// misc, and per-holder balX and balY.
+	r0   = Slot{Contract: pool, Kind: 1}
+	r1   = Slot{Contract: pool, Kind: 2}
+	r2   = Slot{Contract: pool, Kind: 3}
+	misc = Slot{Contract: pool, Kind: 9}
+	balX = Slot{Contract: pool, Kind: 4, Holder: alice}
+	balY = Slot{Contract: pool, Kind: 4, Holder: bob}
 )
 
 func TestBalances(t *testing.T) {
@@ -78,32 +89,32 @@ func TestNonces(t *testing.T) {
 
 func TestStorage(t *testing.T) {
 	s := New()
-	if !s.Get(pool, "r0").IsZero() {
+	if !s.Get(r0).IsZero() {
 		t.Error("unset slot not zero")
 	}
-	s.Set(pool, "r0", u256.New(1000))
-	if got := s.Get(pool, "r0"); got != u256.New(1000) {
+	s.Set(r0, u256.New(1000))
+	if got := s.Get(r0); got != u256.New(1000) {
 		t.Errorf("slot = %s", got)
 	}
-	s.AddTo(pool, "r0", u256.New(500))
-	if got := s.Get(pool, "r0"); got != u256.New(1500) {
+	s.AddTo(r0, u256.New(500))
+	if got := s.Get(r0); got != u256.New(1500) {
 		t.Errorf("AddTo = %s", got)
 	}
-	if err := s.SubFrom(pool, "r0", u256.New(2000)); err == nil {
+	if err := s.SubFrom(r0, u256.New(2000)); err == nil {
 		t.Error("slot underflow allowed")
 	}
-	if err := s.SubFrom(pool, "r0", u256.New(1500)); err != nil {
+	if err := s.SubFrom(r0, u256.New(1500)); err != nil {
 		t.Fatal(err)
 	}
-	if !s.Get(pool, "r0").IsZero() {
+	if !s.Get(r0).IsZero() {
 		t.Error("slot not zeroed")
 	}
 }
 
 func TestZeroSlotDeleted(t *testing.T) {
 	s := New()
-	s.Set(pool, "x", u256.New(1))
-	s.Set(pool, "x", u256.Zero)
+	s.Set(misc, u256.New(1))
+	s.Set(misc, u256.Zero)
 	if len(s.storage) != 0 {
 		t.Error("zero write left a live slot")
 	}
@@ -113,13 +124,13 @@ func TestCopyIsolation(t *testing.T) {
 	s := New()
 	s.SetBalance(alice, types.Ether(1))
 	s.SetNonce(alice, 5)
-	s.Set(pool, "r0", u256.New(42))
+	s.Set(r0, u256.New(42))
 
 	c := s.Copy()
 	c.Credit(alice, types.Ether(1))
 	c.IncNonce(alice)
-	c.Set(pool, "r0", u256.New(99))
-	c.Set(pool, "r1", u256.New(7))
+	c.Set(r0, u256.New(99))
+	c.Set(r1, u256.New(7))
 
 	if s.Balance(alice) != types.Ether(1) {
 		t.Error("copy mutation leaked into balance")
@@ -127,10 +138,10 @@ func TestCopyIsolation(t *testing.T) {
 	if s.Nonce(alice) != 5 {
 		t.Error("copy mutation leaked into nonce")
 	}
-	if s.Get(pool, "r0") != u256.New(42) {
+	if s.Get(r0) != u256.New(42) {
 		t.Error("copy mutation leaked into storage")
 	}
-	if !s.Get(pool, "r1").IsZero() {
+	if !s.Get(r1).IsZero() {
 		t.Error("copy addition leaked into storage")
 	}
 	// And the original keeps serving the copy's pre-mutation values.
@@ -171,14 +182,14 @@ func TestSnapshotRevert(t *testing.T) {
 	s := New()
 	s.SetBalance(alice, types.Ether(5))
 	s.SetNonce(alice, 1)
-	s.Set(pool, "r0", u256.New(100))
+	s.Set(r0, u256.New(100))
 	s.ClearJournal()
 
 	snap := s.Snapshot()
 	s.Credit(alice, types.Ether(3))
 	s.IncNonce(alice)
-	s.Set(pool, "r0", u256.New(999))
-	s.Set(pool, "r1", u256.New(7))
+	s.Set(r0, u256.New(999))
+	s.Set(r1, u256.New(7))
 	s.SetBalance(bob, types.Ether(1))
 
 	s.RevertTo(snap)
@@ -188,10 +199,10 @@ func TestSnapshotRevert(t *testing.T) {
 	if s.Nonce(alice) != 1 {
 		t.Errorf("nonce after revert = %d", s.Nonce(alice))
 	}
-	if s.Get(pool, "r0") != u256.New(100) {
-		t.Errorf("slot after revert = %s", s.Get(pool, "r0"))
+	if s.Get(r0) != u256.New(100) {
+		t.Errorf("slot after revert = %s", s.Get(r0))
 	}
-	if !s.Get(pool, "r1").IsZero() {
+	if !s.Get(r1).IsZero() {
 		t.Error("new slot survived revert")
 	}
 	if !s.Balance(bob).IsZero() {
@@ -219,11 +230,11 @@ func TestNestedSnapshots(t *testing.T) {
 
 func TestRevertAfterDelete(t *testing.T) {
 	s := New()
-	s.Set(pool, "x", u256.New(5))
+	s.Set(misc, u256.New(5))
 	snap := s.Snapshot()
-	s.Set(pool, "x", u256.Zero) // deletes the slot
+	s.Set(misc, u256.Zero) // deletes the slot
 	s.RevertTo(snap)
-	if s.Get(pool, "x") != u256.New(5) {
+	if s.Get(misc) != u256.New(5) {
 		t.Error("deleted slot not restored")
 	}
 }
@@ -249,7 +260,7 @@ func TestForkReadsFallThrough(t *testing.T) {
 	s := New()
 	s.SetBalance(alice, types.Ether(5))
 	s.SetNonce(alice, 3)
-	s.Set(pool, "r0", u256.New(100))
+	s.Set(r0, u256.New(100))
 
 	f := s.Fork()
 	if f.Balance(alice) != types.Ether(5) {
@@ -258,8 +269,8 @@ func TestForkReadsFallThrough(t *testing.T) {
 	if f.Nonce(alice) != 3 {
 		t.Errorf("fork nonce = %d", f.Nonce(alice))
 	}
-	if f.Get(pool, "r0") != u256.New(100) {
-		t.Errorf("fork slot = %s", f.Get(pool, "r0"))
+	if f.Get(r0) != u256.New(100) {
+		t.Errorf("fork slot = %s", f.Get(r0))
 	}
 }
 
@@ -267,13 +278,13 @@ func TestForkWritesIsolated(t *testing.T) {
 	s := New()
 	s.SetBalance(alice, types.Ether(5))
 	s.SetNonce(alice, 1)
-	s.Set(pool, "r0", u256.New(100))
+	s.Set(r0, u256.New(100))
 
 	f := s.Fork()
 	f.Credit(alice, types.Ether(1))
 	f.IncNonce(alice)
-	f.Set(pool, "r0", u256.New(999))
-	f.Set(pool, "r1", u256.New(7))
+	f.Set(r0, u256.New(999))
+	f.Set(r1, u256.New(7))
 	if err := f.Debit(bob, types.Ether(1)); err == nil {
 		t.Error("fork overdraft allowed")
 	}
@@ -281,7 +292,7 @@ func TestForkWritesIsolated(t *testing.T) {
 	if s.Balance(alice) != types.Ether(5) || s.Nonce(alice) != 1 {
 		t.Error("fork mutation leaked into base account")
 	}
-	if s.Get(pool, "r0") != u256.New(100) || !s.Get(pool, "r1").IsZero() {
+	if s.Get(r0) != u256.New(100) || !s.Get(r1).IsZero() {
 		t.Error("fork mutation leaked into base storage")
 	}
 	if f.Balance(alice) != types.Ether(6) || f.Nonce(alice) != 2 {
@@ -291,17 +302,17 @@ func TestForkWritesIsolated(t *testing.T) {
 
 func TestForkDeleteShadowsBase(t *testing.T) {
 	s := New()
-	s.Set(pool, "x", u256.New(5))
+	s.Set(misc, u256.New(5))
 	f := s.Fork()
-	f.Set(pool, "x", u256.Zero)
-	if !f.Get(pool, "x").IsZero() {
+	f.Set(misc, u256.Zero)
+	if !f.Get(misc).IsZero() {
 		t.Error("fork delete fell through to base")
 	}
-	if s.Get(pool, "x") != u256.New(5) {
+	if s.Get(misc) != u256.New(5) {
 		t.Error("fork delete mutated base")
 	}
 	// Flattening honours the tombstone.
-	if !f.Copy().Get(pool, "x").IsZero() {
+	if !f.Copy().Get(misc).IsZero() {
 		t.Error("flattened copy resurrected deleted slot")
 	}
 }
@@ -309,24 +320,24 @@ func TestForkDeleteShadowsBase(t *testing.T) {
 func TestForkSnapshotRevert(t *testing.T) {
 	s := New()
 	s.SetBalance(alice, types.Ether(5))
-	s.Set(pool, "r0", u256.New(100))
+	s.Set(r0, u256.New(100))
 
 	f := s.Fork()
 	f.Credit(alice, types.Ether(1))
 	snap := f.Snapshot()
 	f.Credit(alice, types.Ether(1))
-	f.Set(pool, "r0", u256.Zero)
-	f.Set(pool, "r1", u256.New(9))
+	f.Set(r0, u256.Zero)
+	f.Set(r1, u256.New(9))
 	f.IncNonce(bob)
 
 	f.RevertTo(snap)
 	if f.Balance(alice) != types.Ether(6) {
 		t.Errorf("fork balance after revert = %s", f.Balance(alice))
 	}
-	if f.Get(pool, "r0") != u256.New(100) {
-		t.Errorf("fork slot after revert = %s", f.Get(pool, "r0"))
+	if f.Get(r0) != u256.New(100) {
+		t.Errorf("fork slot after revert = %s", f.Get(r0))
 	}
-	if !f.Get(pool, "r1").IsZero() || f.Nonce(bob) != 0 {
+	if !f.Get(r1).IsZero() || f.Nonce(bob) != 0 {
 		t.Error("fork revert left stray writes")
 	}
 }
@@ -336,22 +347,22 @@ func TestForkSnapshotRevert(t *testing.T) {
 func TestForkWrites(t *testing.T) {
 	s := New()
 	s.SetBalance(alice, types.Ether(5))
-	s.Set(pool, "r0", u256.New(100))
-	s.Set(pool, "r1", u256.New(7))
+	s.Set(r0, u256.New(100))
+	s.Set(r1, u256.New(7))
 
 	f := s.Fork()
 	f.Credit(alice, types.Ether(1))
-	f.Set(pool, "r0", u256.Zero)
+	f.Set(r0, u256.Zero)
 	snap := f.Snapshot()
 	f.IncNonce(bob)
-	f.Set(pool, "r1", u256.New(8))
+	f.Set(r1, u256.New(8))
 	f.RevertTo(snap)
 
 	got := f.Writes()
 	want := Snapshot{
 		Balances: map[types.Address]types.Wei{alice: types.Ether(6)},
 		Nonces:   map[types.Address]uint64{},
-		Storage:  map[Slot]u256.Int{{pool, "r0"}: u256.Zero},
+		Storage:  map[Slot]u256.Int{r0: u256.Zero},
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("fork writes = %v, want %v", got, want)
@@ -368,19 +379,19 @@ func TestForkMatchesCopy(t *testing.T) {
 	s := New()
 	s.SetBalance(alice, types.Ether(10))
 	s.SetBalance(bob, types.Ether(3))
-	s.Set(pool, "r0", u256.New(1000))
-	s.Set(pool, "r1", u256.New(2000))
+	s.Set(r0, u256.New(1000))
+	s.Set(r1, u256.New(2000))
 
 	mutate := func(st *State) {
 		if err := st.Transfer(alice, bob, types.Ether(2)); err != nil {
 			t.Fatal(err)
 		}
 		st.IncNonce(alice)
-		st.AddTo(pool, "r0", u256.New(77))
-		if err := st.SubFrom(pool, "r1", u256.New(2000)); err != nil {
+		st.AddTo(r0, u256.New(77))
+		if err := st.SubFrom(r1, u256.New(2000)); err != nil {
 			t.Fatal(err)
 		}
-		st.Set(pool, "r2", u256.New(5))
+		st.Set(r2, u256.New(5))
 	}
 	c, f := s.Copy(), s.Fork()
 	mutate(c)
@@ -395,9 +406,9 @@ func TestForkMatchesCopy(t *testing.T) {
 			t.Errorf("nonce %s differs", a)
 		}
 	}
-	for _, k := range []string{"r0", "r1", "r2"} {
-		if c.Get(pool, k) != ff.Get(pool, k) {
-			t.Errorf("slot %s: copy %s, fork %s", k, c.Get(pool, k), ff.Get(pool, k))
+	for _, k := range []Slot{r0, r1, r2} {
+		if c.Get(k) != ff.Get(k) {
+			t.Errorf("slot %s: copy %s, fork %s", k, c.Get(k), ff.Get(k))
 		}
 	}
 	if c.TotalSupply() != f.TotalSupply() {
@@ -416,19 +427,19 @@ func TestAbsorbFork(t *testing.T) {
 	s := New()
 	s.SetBalance(alice, types.Ether(10))
 	s.SetBalance(bob, types.Ether(3))
-	s.Set(pool, "r0", u256.New(1000))
-	s.Set(pool, "r1", u256.New(2000))
+	s.Set(r0, u256.New(1000))
+	s.Set(r1, u256.New(2000))
 
 	f := s.Fork()
 	if err := f.Transfer(alice, bob, types.Ether(2)); err != nil {
 		t.Fatal(err)
 	}
 	f.IncNonce(alice)
-	f.AddTo(pool, "r0", u256.New(77))
-	if err := f.SubFrom(pool, "r1", u256.New(2000)); err != nil { // tombstone
+	f.AddTo(r0, u256.New(77))
+	if err := f.SubFrom(r1, u256.New(2000)); err != nil { // tombstone
 		t.Fatal(err)
 	}
-	f.Set(pool, "r2", u256.New(5))
+	f.Set(r2, u256.New(5))
 
 	want := f.Copy() // flatten before absorbing mutates the base
 	if err := s.AbsorbFork(s.Fork()); err != nil {
@@ -445,16 +456,82 @@ func TestAbsorbFork(t *testing.T) {
 			t.Errorf("nonce %s differs", a)
 		}
 	}
-	for _, k := range []string{"r0", "r1", "r2"} {
-		if s.Get(pool, k) != want.Get(pool, k) {
-			t.Errorf("slot %s: absorbed %s, want %s", k, s.Get(pool, k), want.Get(pool, k))
+	for _, k := range []Slot{r0, r1, r2} {
+		if s.Get(k) != want.Get(k) {
+			t.Errorf("slot %s: absorbed %s, want %s", k, s.Get(k), want.Get(k))
 		}
 	}
-	if _, ok := s.storage[Slot{pool, "r1"}]; ok {
+	if _, ok := s.storage[r1]; ok {
 		t.Error("tombstoned slot survived absorb as a live entry")
 	}
 	if err := New().AbsorbFork(s.Fork()); err == nil {
 		t.Error("absorbing a fork of a different base must fail")
+	}
+}
+
+// TestForkSizedFromLastAbsorb checks that Fork sizes a new fork from the
+// entry counts of the last fork AbsorbFork folded into the same base.
+func TestForkSizedFromLastAbsorb(t *testing.T) {
+	s := New()
+	if s.forkSize != (mapSizes{}) {
+		t.Fatalf("fresh state carries fork sizes %+v", s.forkSize)
+	}
+	f := s.Fork()
+	f.SetBalance(alice, types.Ether(1))
+	f.SetBalance(bob, types.Ether(2))
+	f.IncNonce(alice)
+	f.Set(r0, u256.New(1))
+	f.Set(r1, u256.New(2))
+	f.Set(balX, u256.Zero) // a tombstone is an entry too
+	if err := s.AbsorbFork(f); err != nil {
+		t.Fatal(err)
+	}
+	if want := (mapSizes{balances: 2, nonces: 1, storage: 3}); s.forkSize != want {
+		t.Errorf("fork sizes %+v, want %+v", s.forkSize, want)
+	}
+}
+
+// TestSnapshotGobRoundTripTypedKeys sends an exported state through gob,
+// as a checkpoint does, and rebuilds it: contract-wide and per-holder
+// cells of several kinds must all read back, and a fork's tombstone must
+// stay a deletion.
+func TestSnapshotGobRoundTripTypedKeys(t *testing.T) {
+	s := New()
+	s.SetBalance(alice, types.Ether(3))
+	s.SetNonce(bob, 4)
+	other := Slot{Contract: bob, Kind: 200, Holder: pool}
+	cells := map[Slot]u256.Int{
+		r0: u256.New(10), r1: u256.New(20), balX: u256.New(30), balY: u256.New(40), other: u256.New(50),
+	}
+	for k, v := range cells {
+		s.Set(k, v)
+	}
+	f := s.Fork()
+	f.Set(r0, u256.Zero)
+	f.Set(misc, u256.New(60))
+	want := f.Export()
+
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(want); err != nil {
+		t.Fatal(err)
+	}
+	var sn Snapshot
+	if err := gob.NewDecoder(&buf).Decode(&sn); err != nil {
+		t.Fatal(err)
+	}
+	got := FromSnapshot(sn)
+	if !reflect.DeepEqual(got.Export(), want) {
+		t.Fatalf("round trip changed the state:\n%+v\nwant\n%+v", got.Export(), want)
+	}
+	cells[r0] = u256.Zero
+	cells[misc] = u256.New(60)
+	for k, v := range cells {
+		if got.Get(k) != v {
+			t.Errorf("slot %s: %s after round trip, want %s", k, got.Get(k), v)
+		}
+	}
+	if got.Balance(alice) != types.Ether(3) || got.Nonce(bob) != 4 {
+		t.Error("accounts changed in the round trip")
 	}
 }
 
@@ -465,17 +542,17 @@ func TestConcurrentForksShareBase(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		s.SetBalance(crypto.AddressFromSeed("acct/"+string(rune('a'+i))), types.Ether(1))
 	}
-	s.Set(pool, "r0", u256.New(500))
+	s.Set(r0, u256.New(500))
 	done := make(chan error, 8)
 	for g := 0; g < 8; g++ {
 		go func(g int) {
 			f := s.Fork()
 			for i := 0; i < 100; i++ {
 				f.Credit(alice, types.Ether(1))
-				f.AddTo(pool, "r0", u256.New(1))
+				f.AddTo(r0, u256.New(1))
 				_ = f.Balance(crypto.AddressFromSeed("acct/b"))
 			}
-			if f.Get(pool, "r0") != u256.New(600) {
+			if f.Get(r0) != u256.New(600) {
 				done <- fmt.Errorf("goroutine %d: fork state corrupted", g)
 				return
 			}
@@ -487,7 +564,7 @@ func TestConcurrentForksShareBase(t *testing.T) {
 			t.Error(err)
 		}
 	}
-	if s.Get(pool, "r0") != u256.New(500) {
+	if s.Get(r0) != u256.New(500) {
 		t.Error("base mutated by forks")
 	}
 }

@@ -300,9 +300,10 @@ func (d *DayAgg) Count(name string) int {
 }
 
 // ParallelDays runs fn(i) for every i in [0, n) across at most workers
-// goroutines, splitting the range into contiguous chunks. fn must write
-// only state owned by index i; under that contract the result is
-// independent of scheduling. workers <= 1 runs inline.
+// goroutines, each taking the next unclaimed index from a shared counter,
+// so uneven tasks balance across the pool. fn must write only state owned
+// by index i; under that contract the result is independent of
+// scheduling. workers <= 1 runs inline, in index order.
 //
 // A panic in fn no longer kills the process from a worker goroutine: it is
 // recovered, carried back, and re-raised on the calling goroutine as a
@@ -333,10 +334,9 @@ func (e *WorkerPanicError) Error() string {
 // ParallelDaysErr is the fault-aware ParallelDays: fn may fail, panics in
 // fn are recovered into *WorkerPanicError values, and ctx cancellation
 // stops the sweep between indices. The first failure wins (remaining
-// workers drain without calling fn again) and is returned after every
-// worker has exited, so no goroutine outlives the call. Chunking is
-// identical to ParallelDays, preserving the determinism contract for
-// successful sweeps.
+// workers stop claiming indices) and is returned after every worker has
+// exited, so no goroutine outlives the call. Indices are handed out one
+// at a time from a shared counter, the same hand-out as ParallelDays.
 func ParallelDaysErr(ctx context.Context, n, workers int, fn func(i int) error) error {
 	if n <= 0 {
 		return ctx.Err()
@@ -345,6 +345,7 @@ func ParallelDaysErr(ctx context.Context, n, workers int, fn func(i int) error) 
 		workers = n
 	}
 	var (
+		next     atomic.Int64
 		stop     atomic.Bool
 		mu       sync.Mutex
 		firstErr error
@@ -367,37 +368,30 @@ func ParallelDaysErr(ctx context.Context, n, workers int, fn func(i int) error) 
 			fail(err)
 		}
 	}
-	runRange := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if stop.Load() {
-				return
-			}
+	work := func() {
+		for !stop.Load() {
 			if err := ctx.Err(); err != nil {
 				fail(err)
+				return
+			}
+			i := int(next.Add(1) - 1)
+			if i >= n {
 				return
 			}
 			runOne(i)
 		}
 	}
 	if workers <= 1 {
-		runRange(0, n)
+		work()
 		return firstErr
 	}
 	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
+	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
+		go func() {
 			defer wg.Done()
-			runRange(lo, hi)
-		}(lo, hi)
+			work()
+		}()
 	}
 	wg.Wait()
 	return firstErr

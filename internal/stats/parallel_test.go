@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestParallelDaysErrRecoversPanic(t *testing.T) {
@@ -128,4 +130,130 @@ func TestParallelDaysRepanicsOnCaller(t *testing.T) {
 			panic("legacy path panic")
 		}
 	})
+}
+
+// skewedCost is index i's simulated work: every seventh task is about 40
+// times as long as the rest, as a slot's builds are uneven.
+func skewedCost(i int) {
+	d := 20 * time.Microsecond
+	if i%7 == 0 {
+		d = 800 * time.Microsecond
+	}
+	time.Sleep(d)
+}
+
+// TestParallelDaysErrWorkQueueContract runs skewed tasks at 1, 2, 8 and
+// n+3 workers and holds the pool to its contract: every index runs
+// exactly once, the first failure wins and stops later indices, a panic
+// surfaces as *WorkerPanicError, and cancellation stops the sweep.
+func TestParallelDaysErrWorkQueueContract(t *testing.T) {
+	const n = 64
+	for _, workers := range []int{1, 2, 8, n + 3} {
+		hits := make([]atomic.Int32, n)
+		if err := ParallelDaysErr(context.Background(), n, workers, func(i int) error {
+			skewedCost(i)
+			hits[i].Add(1)
+			return nil
+		}); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		for i := range hits {
+			if got := hits[i].Load(); got != 1 {
+				t.Fatalf("workers=%d: index %d ran %d times", workers, i, got)
+			}
+		}
+
+		// At most one index per worker can be in flight, or claimed just
+		// before the stop, once the failure lands: nothing much past
+		// the failing index starts.
+		const failAt = 9
+		bound := failAt + 2*workers
+		first := errors.New("first failure")
+		var maxRan atomic.Int64
+		err := ParallelDaysErr(context.Background(), n, workers, func(i int) error {
+			for {
+				m := maxRan.Load()
+				if int64(i) <= m || maxRan.CompareAndSwap(m, int64(i)) {
+					break
+				}
+			}
+			if i == failAt {
+				return first
+			}
+			skewedCost(i)
+			if i > failAt {
+				return fmt.Errorf("later failure at %d", i)
+			}
+			return nil
+		})
+		if workers == 1 && err != first {
+			t.Fatalf("workers=1: err = %v, want the first failure", err)
+		}
+		if err == nil {
+			t.Fatalf("workers=%d: failure swallowed", workers)
+		}
+		if got := int(maxRan.Load()); bound < n && got > bound {
+			t.Errorf("workers=%d: index %d ran after the failure at %d", workers, got, failAt)
+		}
+
+		err = ParallelDaysErr(context.Background(), n, workers, func(i int) error {
+			skewedCost(i)
+			if i == 13 {
+				panic("skewed task exploded")
+			}
+			return nil
+		})
+		var wp *WorkerPanicError
+		if !errors.As(err, &wp) || wp.Index != 13 {
+			t.Fatalf("workers=%d: err = %v, want *WorkerPanicError at 13", workers, err)
+		}
+
+		ctx, cancel := context.WithCancel(context.Background())
+		var ran atomic.Int64
+		err = ParallelDaysErr(ctx, n, workers, func(i int) error {
+			ran.Add(1)
+			if i == failAt {
+				cancel()
+			}
+			skewedCost(i)
+			return nil
+		})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
+		}
+		if got := int(ran.Load()); bound < n && got > bound {
+			t.Errorf("workers=%d: %d indices ran after cancellation at %d", workers, got, failAt)
+		}
+	}
+}
+
+// TestParallelDaysErrBalancesSkewedTasks puts every slow task in the first
+// half of the range. Contiguous chunks would give them all to one of two
+// workers; the shared queue hands the second worker a slow task at once.
+// Index 0 waits for another slow task to start, so the test fails (after
+// a timeout) under a chunked schedule.
+func TestParallelDaysErrBalancesSkewedTasks(t *testing.T) {
+	const n = 64
+	otherSlow := make(chan struct{})
+	var once sync.Once
+	err := ParallelDaysErr(context.Background(), n, 2, func(i int) error {
+		if i >= n/2 {
+			return nil
+		}
+		if i > 0 {
+			once.Do(func() { close(otherSlow) })
+			time.Sleep(100 * time.Microsecond)
+			return nil
+		}
+		select {
+		case <-otherSlow:
+			return nil
+		case <-time.After(10 * time.Second):
+			return errors.New("no other worker took a slow task while index 0 ran")
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }

@@ -9,8 +9,8 @@
 // fixed-group, fixed-span array form the analysis engine's single-pass
 // index uses, built per shard and merged across disjoint day ranges with
 // bit-identical results (see DayAgg.Merge). ParallelDays is the shared
-// contiguous-chunk parallel-for that runs the sharded passes and the
-// per-day reductions. All reductions iterate groups in sorted-name order
+// work-queue parallel-for that runs the sharded passes, the per-day
+// reductions and the slot engine's builds and relay commits. All reductions iterate groups in sorted-name order
 // so output bytes never depend on map iteration order or worker count.
 package stats
 

@@ -232,13 +232,14 @@ func NewBlock(header *Header, txs []*Transaction) *Block {
 // ComputeTxRoot derives a commitment to the ordered transaction list.
 // Mainnet uses a Merkle-Patricia trie; a flat hash over the ordered
 // transaction hashes provides the same binding property for the simulation.
+// The hashes stream into one hasher, so the root equals
+// crypto.Keccak256 over them without copying any of them.
 func ComputeTxRoot(txs []*Transaction) Hash {
-	parts := make([][]byte, 0, len(txs))
+	h := crypto.NewHasher()
 	for _, tx := range txs {
-		h := tx.Hash()
-		parts = append(parts, h[:])
+		h.Add(tx.hash[:])
 	}
-	return crypto.Keccak256(parts...)
+	return h.Sum()
 }
 
 // Hash returns the block's identity hash.

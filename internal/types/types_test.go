@@ -185,6 +185,23 @@ func TestComputeTxRootEmpty(t *testing.T) {
 	}
 }
 
+// TestComputeTxRootMatchesKeccakOfHashes holds the streamed root to the
+// commitment it stands for: Keccak256 over the ordered transaction hashes.
+func TestComputeTxRootMatchesKeccakOfHashes(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 57} {
+		txs := make([]*Transaction, n)
+		parts := make([][]byte, n)
+		for i := range txs {
+			txs[i] = NewTransaction(uint64(i), addr("from"), addr("to"), Gwei(uint64(i)), 21_000, Gwei(30), Gwei(2), nil)
+			h := txs[i].Hash()
+			parts[i] = h[:]
+		}
+		if got, want := ComputeTxRoot(txs), crypto.Keccak256(parts...); got != want {
+			t.Errorf("%d txs: root %s, want %s", n, got.Hex(), want.Hex())
+		}
+	}
+}
+
 func TestReceiptSucceeded(t *testing.T) {
 	r := &Receipt{Status: 1}
 	if !r.Succeeded() {

@@ -21,10 +21,10 @@ race:
 # Tier-1 gate: everything builds, vets clean and is gofmt-formatted, the
 # analysis-engine and stats worker pools, the state fork-journal pool the
 # slot engine's workers share, the relays that commit concurrently over one
-# shared view, and the defi contracts the parallel builds execute pass
-# under the race detector, the full suite (including the sim's
-# committed-digest goldens) passes, and the chaos suite proves the
-# pipeline is crash-safe.
+# shared view, the defi contracts the parallel builds execute, and the
+# batched atomic writer and pooled manifest verifier pass under the race
+# detector, the full suite (including the sim's committed-digest goldens)
+# passes, and the chaos suite proves the pipeline is crash-safe.
 check:
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -32,7 +32,7 @@ check:
 	$(MAKE) docs-lint
 	$(MAKE) staticcheck
 	$(MAKE) govulncheck
-	$(GO) test -race ./internal/core/... ./internal/stats/... ./internal/state/... ./internal/searcher/... ./internal/relay/... ./internal/defi/...
+	$(GO) test -race ./internal/core/... ./internal/stats/... ./internal/state/... ./internal/searcher/... ./internal/relay/... ./internal/defi/... ./internal/atomicio/... ./internal/report/...
 	$(GO) test ./...
 	$(MAKE) chaos
 	$(MAKE) chaos-fleet

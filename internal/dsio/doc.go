@@ -21,9 +21,10 @@
 // agreement, day contiguity from zero — up front, and each segment's size
 // and digest lazily on first OpenDay, so a consumer can stream a corpus
 // one day at a time holding O(one day) of block data. core.NewStreaming
-// builds its fused analysis index exactly this way. WriteDays streams the
-// same layout to disk; EncodeChunked produces it as in-memory files for
-// the report/manifest pipeline.
+// builds its fused analysis index exactly this way. EncodeChunked renders
+// the layout as in-memory files for the report/manifest pipeline; WriteDays
+// lands the same files on disk as one atomicio batch, index last. There is
+// no streaming writer: the encoded corpus is held in memory once.
 //
 // The encoding is deterministic: maps are flattened into sorted slices
 // before gob sees them, so the same corpus always encodes to the same

@@ -1,11 +1,11 @@
 // The chunked dataset layout: the corpus is split into a common section
 // (everything but the blocks), one segment per simulated day, and a JSON
 // segment index that covers every segment with its size and SHA-256
-// digest. Writers emit days in order and publish the index last (the same
-// manifest-last rule the report writer follows), so a torn write can never
-// leave an index pointing at bytes that were not fully published. Readers
-// open one day at a time, which is what keeps the analysis build
-// bounded-memory at 10×–100× corpus scale.
+// digest. The index is published last (the same manifest-last rule the
+// report writer follows), so a torn write can never leave an index
+// pointing at bytes that were not fully published. Readers open one day
+// at a time, which is what keeps the analysis build bounded-memory at
+// 10×–100× corpus scale.
 package dsio
 
 import (
@@ -92,157 +92,97 @@ type segDay struct {
 	Blocks  []blockDTO
 }
 
-// Writer streams a chunked corpus out day by day, holding only the open
-// day in memory. Call WriteCommon once, WriteDay for each day in order
-// (day 0 first, empty days included), then Close to publish the index;
-// Close fails if the day segments do not cover the window exactly.
-type Writer struct {
-	put    func(name string, data []byte) error
-	idx    SegmentIndex
-	common bool
-	closed bool
-}
-
-// NewWriter returns a disk-backed Writer rooted at dir: chunks land under
-// dir/dataset/, each written atomically.
-func NewWriter(dir string) (*Writer, error) {
-	if err := os.MkdirAll(filepath.Join(dir, DirName), 0o755); err != nil {
-		return nil, fmt.Errorf("dsio: create segment dir: %w", err)
-	}
-	return &Writer{put: func(name string, data []byte) error {
-		return atomicio.WriteFile(filepath.Join(dir, filepath.FromSlash(name)), data, 0o644)
-	}}, nil
-}
-
-// newMemWriter collects chunks into files instead of writing them, so
-// EncodeChunked and NewWriter produce byte-identical segments.
-func newMemWriter(files *[]File) *Writer {
-	return &Writer{put: func(name string, data []byte) error {
-		*files = append(*files, File{Name: name, Data: data})
-		return nil
-	}}
-}
-
-// WriteCommon publishes the blocks-free common section (ds.Blocks is
-// ignored) and anchors the index window at ds.Start/ds.End.
-func (w *Writer) WriteCommon(ds *dataset.Dataset, labels map[types.Address]string) error {
-	if w.common {
-		return fmt.Errorf("dsio: common section written twice")
-	}
-	var buf bytes.Buffer
-	env := segCommon{Version: segmentVersion, Common: toCommonDTO(ds, labels)}
-	if err := gob.NewEncoder(&buf).Encode(&env); err != nil {
-		return fmt.Errorf("dsio: encode common: %w", err)
-	}
-	data := buf.Bytes()
-	if err := w.put(CommonName, data); err != nil {
-		return err
-	}
-	sum := sha256.Sum256(data)
-	w.idx.Start, w.idx.End = ds.Start, ds.End
-	w.idx.Common = IndexFile{Name: CommonName, Size: int64(len(data)), SHA256: hex.EncodeToString(sum[:])}
-	w.common = true
-	return nil
-}
-
-// WriteDay publishes the next day's blocks (the first call writes day 0).
-// An empty day still gets a segment, so every day of the window resolves
-// to exactly one file.
-func (w *Writer) WriteDay(blocks []*dataset.Block) error {
-	day := len(w.idx.Segments)
-	env := segDay{Version: segmentVersion, Day: day, Blocks: make([]blockDTO, len(blocks))}
-	txs := 0
-	for i, b := range blocks {
-		env.Blocks[i] = blockToDTO(b)
-		txs += len(b.Txs)
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&env); err != nil {
-		return fmt.Errorf("dsio: encode day %d: %w", day, err)
-	}
-	data := buf.Bytes()
-	name := SegmentName(day)
-	if err := w.put(name, data); err != nil {
-		return err
-	}
-	sum := sha256.Sum256(data)
-	w.idx.Segments = append(w.idx.Segments, Segment{
-		Name: name, Day: day, Blocks: len(blocks),
-		Size: int64(len(data)), SHA256: hex.EncodeToString(sum[:]),
-	})
-	w.idx.TotalBlcks += len(blocks)
-	w.idx.TotalTxs += txs
-	return nil
-}
-
-// Close publishes the segment index. It is the commit point: before Close
-// the directory holds segments no index references (readers ignore them;
-// verification calls them stale).
-func (w *Writer) Close() error {
-	if w.closed {
-		return fmt.Errorf("dsio: writer closed twice")
-	}
-	if !w.common {
-		return fmt.Errorf("dsio: common section never written")
-	}
-	want := (&dataset.Dataset{Start: w.idx.Start, End: w.idx.End}).Days()
-	if len(w.idx.Segments) != want {
-		return fmt.Errorf("dsio: %d day segments written, window covers %d days", len(w.idx.Segments), want)
-	}
-	w.idx.Version = segmentVersion
-	data, err := json.MarshalIndent(&w.idx, "", "  ")
-	if err != nil {
-		return fmt.Errorf("dsio: encode index: %w", err)
-	}
-	data = append(data, '\n')
-	if err := w.put(IndexName, data); err != nil {
-		return err
-	}
-	w.closed = true
-	return nil
-}
-
-// WriteDays streams ds into a chunked corpus rooted at dir: common section
-// first, then one segment per day in order, then the index. Blocks must be
-// in chain order (they are, as the collector hands them over).
-func WriteDays(dir string, ds *dataset.Dataset, labels map[types.Address]string) error {
-	w, err := NewWriter(dir)
-	if err != nil {
-		return err
-	}
-	return writeAllDays(w, ds, labels)
-}
-
-// EncodeChunked renders the chunked corpus to in-memory files (for the
-// artifact pipeline, where chunks ship under the directory manifest). The
-// bytes are identical to what WriteDays puts on disk.
+// EncodeChunked renders ds as the chunked corpus, in memory: the common
+// section, one segment per day of the window in order (empty days
+// included), then the index. Blocks must be in chain order (they are, as
+// the collector hands them over). The artifact pipeline ships these files
+// under its directory manifest; WriteDays lands them on their own.
 func EncodeChunked(ds *dataset.Dataset, labels map[types.Address]string) ([]File, error) {
-	var files []File
-	if err := writeAllDays(newMemWriter(&files), ds, labels); err != nil {
-		return nil, err
-	}
-	return files, nil
-}
-
-func writeAllDays(w *Writer, ds *dataset.Dataset, labels map[types.Address]string) error {
-	if err := w.WriteCommon(ds, labels); err != nil {
-		return err
-	}
 	days := ds.Days()
 	byDay := make([][]*dataset.Block, days)
 	for _, b := range ds.Blocks {
 		d := ds.BlockDay(b)
 		if d < 0 || d >= days {
-			return fmt.Errorf("dsio: block %d at %s outside the %d-day window", b.Number, b.Time, days)
+			return nil, fmt.Errorf("dsio: block %d at %s outside the %d-day window", b.Number, b.Time, days)
 		}
 		byDay[d] = append(byDay[d], b)
 	}
-	for day := 0; day < days; day++ {
-		if err := w.WriteDay(byDay[day]); err != nil {
-			return err
-		}
+	files := make([]File, 0, days+2)
+	common, err := encodeGob(&segCommon{Version: segmentVersion, Common: toCommonDTO(ds, labels)})
+	if err != nil {
+		return nil, fmt.Errorf("dsio: encode common: %w", err)
 	}
-	return w.Close()
+	files = append(files, File{Name: CommonName, Data: common})
+	idx := SegmentIndex{
+		Version: segmentVersion,
+		Start:   ds.Start,
+		End:     ds.End,
+		Common:  IndexFile{Name: CommonName, Size: int64(len(common)), SHA256: digest(common)},
+	}
+	for day, blocks := range byDay {
+		env := segDay{Version: segmentVersion, Day: day, Blocks: make([]blockDTO, len(blocks))}
+		txs := 0
+		for i, b := range blocks {
+			env.Blocks[i] = blockToDTO(b)
+			txs += len(b.Txs)
+		}
+		data, err := encodeGob(&env)
+		if err != nil {
+			return nil, fmt.Errorf("dsio: encode day %d: %w", day, err)
+		}
+		name := SegmentName(day)
+		files = append(files, File{Name: name, Data: data})
+		idx.Segments = append(idx.Segments, Segment{
+			Name: name, Day: day, Blocks: len(blocks),
+			Size: int64(len(data)), SHA256: digest(data),
+		})
+		idx.TotalBlcks += len(blocks)
+		idx.TotalTxs += txs
+	}
+	data, err := json.MarshalIndent(&idx, "", "  ")
+	if err != nil {
+		return nil, fmt.Errorf("dsio: encode index: %w", err)
+	}
+	return append(files, File{Name: IndexName, Data: append(data, '\n')}), nil
+}
+
+// encodeGob encodes v with a fresh encoder, so every segment carries its
+// own type descriptors and decodes on its own.
+func encodeGob(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+func digest(data []byte) string {
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:])
+}
+
+// WriteDays writes ds as a chunked corpus rooted at dir: the common
+// section and every day segment land as one atomicio batch, then the
+// index, the commit point, on its own. Until the index lands the
+// directory holds segments no index references (readers ignore them;
+// verification calls them stale).
+func WriteDays(dir string, ds *dataset.Dataset, labels map[types.Address]string) error {
+	files, err := EncodeChunked(ds, labels)
+	if err != nil {
+		return err
+	}
+	if err := os.MkdirAll(filepath.Join(dir, DirName), 0o755); err != nil {
+		return fmt.Errorf("dsio: create segment dir: %w", err)
+	}
+	batch := make([]atomicio.File, len(files))
+	for i, f := range files {
+		batch[i] = atomicio.File{Path: filepath.Join(dir, filepath.FromSlash(f.Name)), Data: f.Data}
+	}
+	last := len(batch) - 1 // the index
+	if err := atomicio.WriteFiles(batch[:last], 0o644); err != nil {
+		return err
+	}
+	return atomicio.WriteFile(batch[last].Path, batch[last].Data, 0o644)
 }
 
 // Reader opens a chunked corpus for streamed access: the index and common
@@ -303,8 +243,7 @@ func (r *Reader) readVerified(name string, size int64, wantSum string) ([]byte, 
 	if int64(len(data)) != size {
 		return nil, fmt.Errorf("dsio: %s: %d bytes, index says %d (torn write?)", name, len(data), size)
 	}
-	sum := sha256.Sum256(data)
-	if got := hex.EncodeToString(sum[:]); got != wantSum {
+	if got := digest(data); got != wantSum {
 		return nil, fmt.Errorf("dsio: %s: content digest %s does not match index %s", name, got, wantSum)
 	}
 	return data, nil

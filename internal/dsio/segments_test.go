@@ -53,7 +53,7 @@ func TestChunkedRoundTrip(t *testing.T) {
 
 // TestEncodeChunkedMatchesWriteDays pins the artifact-pipeline path to the
 // disk path byte for byte: the corpus shipped under a report manifest is
-// exactly what a Writer would have put on disk.
+// exactly what WriteDays puts on disk.
 func TestEncodeChunkedMatchesWriteDays(t *testing.T) {
 	res := smallRun(t)
 	labels := res.World.BuilderLabels()

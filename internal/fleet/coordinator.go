@@ -755,7 +755,15 @@ type result struct {
 	out    outcome
 	cause  string
 	tail   string
+	// freed reports that the attempt already handed its slot back through
+	// Run's freed channel, so settle must not free it again.
+	freed bool
 }
+
+// preAccept, when set, is called with the cell ID after an attempt's Run
+// returned cleanly and its slot was handed back, before any acceptance
+// check. Only the package's tests set it.
+var preAccept func(cellID string)
 
 // Run drives the grid to termination: every cell completed-and-verified or
 // quarantined-with-cause, then the merged corpus is (re)built. On context
@@ -774,6 +782,23 @@ func (c *Coordinator) Run(ctx context.Context) (*Summary, error) {
 	// capacity covers members that self-register mid-run; the dispatch
 	// guard below keeps inflight strictly under the buffer size.
 	done := make(chan result, c.totalCap+64)
+	// freed carries the slot of an attempt whose Run returned cleanly, so
+	// the slot takes new work while that attempt's output is verified and
+	// accepted. Sized like done: each attempt sends at most once, before
+	// its result, and the done case below drains freed before settling, so
+	// no more sends are pending than attempts in flight and a send never
+	// blocks, even after Run stops draining.
+	freed := make(chan *transportState, cap(done))
+	takeFreed := func() {
+		for {
+			select {
+			case ts := <-freed:
+				ts.free++
+			default:
+				return
+			}
+		}
+	}
 
 	inflight := 0
 	cancelled := false
@@ -791,7 +816,7 @@ func (c *Coordinator) Run(ctx context.Context) (*Summary, error) {
 				if !ok {
 					break
 				}
-				if err := c.launch(rctx, ctx, d, done, &wg); err != nil {
+				if err := c.launch(rctx, ctx, d, done, freed, &wg); err != nil {
 					return nil, err
 				}
 				inflight++
@@ -812,8 +837,11 @@ func (c *Coordinator) Run(ctx context.Context) (*Summary, error) {
 			}
 		}
 		select {
+		case ts := <-freed:
+			ts.free++
 		case r := <-done:
 			inflight--
+			takeFreed()
 			if err := c.settle(r); err != nil {
 				return nil, err
 			}
@@ -920,7 +948,7 @@ func (c *Coordinator) pickTransport(now time.Time, avoid *transportState) *trans
 }
 
 // launch journals the lease and starts the attempt goroutine.
-func (c *Coordinator) launch(rctx, parent context.Context, d dispatch, done chan<- result, wg *sync.WaitGroup) error {
+func (c *Coordinator) launch(rctx, parent context.Context, d dispatch, done chan<- result, freed chan<- *transportState, wg *sync.WaitGroup) error {
 	cr, ts := d.cr, d.ts
 	actx, acancel := context.WithCancel(rctx)
 	la := &liveAttempt{
@@ -958,7 +986,7 @@ func (c *Coordinator) launch(rctx, parent context.Context, d dispatch, done chan
 	go func() {
 		defer wg.Done()
 		defer acancel()
-		done <- c.runAttempt(actx, parent, d, la)
+		done <- c.runAttempt(actx, parent, d, la, freed)
 	}()
 	return nil
 }
@@ -1009,11 +1037,16 @@ func (c *Coordinator) nextWakeIn(now time.Time) (time.Duration, bool) {
 	return best, found
 }
 
-// settle applies one attempt's outcome to the cell state and journal.
+// settle applies one attempt's outcome to the cell state and journal. An
+// attempt whose Run failed gets its slot back here, in the same loop turn
+// as the cooldown bookkeeping below, so a failing transport cools down
+// before it can be picked again; a clean Run handed its slot back already.
 func (c *Coordinator) settle(r result) error {
 	cr := r.cr
 	delete(cr.live, r.epoch)
-	r.ts.free++
+	if !r.freed {
+		r.ts.free++
+	}
 	now := time.Now()
 	place := func(rec Record) Record {
 		rec.Transport = r.ts.t.Name()
@@ -1142,12 +1175,15 @@ func (c *Coordinator) allTerminal() bool {
 // result. It owns the lease watchdog: the transport feeds liveness
 // signals into the lease via beat, and heartbeat silence past the TTL
 // reclaims the attempt by cancelling its context — which kills a local
-// subprocess's process group or abandons (and aborts) a remote run.
-func (c *Coordinator) runAttempt(ctx, parent context.Context, d dispatch, la *liveAttempt) result {
+// subprocess's process group or abandons (and aborts) a remote run. Once
+// Run returns cleanly the attempt is done with its slot, which goes back
+// through freed before the acceptance checks run.
+func (c *Coordinator) runAttempt(ctx, parent context.Context, d dispatch, la *liveAttempt, freed chan<- *transportState) result {
 	cr, epoch, ts := d.cr, d.epoch, d.ts
 	id := cr.cell.ID
+	slotFreed := false
 	res := func(out outcome, cause, tail string) result {
-		return result{cr: cr, epoch: epoch, ts: ts, rescue: d.rescue, out: out, cause: cause, tail: tail}
+		return result{cr: cr, epoch: epoch, ts: ts, rescue: d.rescue, out: out, cause: cause, tail: tail, freed: slotFreed}
 	}
 	workDir := filepath.Join(c.runDir, WorkDirName, fmt.Sprintf("%s.attempt-%d", id, epoch))
 	discard := func() { _ = os.RemoveAll(workDir) }
@@ -1225,9 +1261,17 @@ func (c *Coordinator) runAttempt(ctx, parent context.Context, d dispatch, la *li
 		}
 	}
 
-	// Clean return: acceptance is gated on the coordinator's own checks,
-	// whoever staged the directory. Corrupt output is a retryable
-	// failure, never merged.
+	// Clean return: the local subprocess has exited, or the agent's result
+	// is fetched and acked, so the slot can take the next cell while this
+	// goroutine checks the output.
+	freed <- ts
+	slotFreed = true
+	if preAccept != nil {
+		preAccept(id)
+	}
+
+	// Acceptance is gated on the coordinator's own checks, whoever staged
+	// the directory. Corrupt output is a retryable failure, never merged.
 	if problems, err := report.VerifyDir(workDir); err != nil || len(problems) > 0 {
 		cause := "output failed verification"
 		if err != nil {

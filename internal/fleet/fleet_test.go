@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -920,6 +921,69 @@ func TestFleetReclaimsWedgedWorker(t *testing.T) {
 	}
 	if reclaims != 1 {
 		t.Errorf("%d reclaim events, want 1", reclaims)
+	}
+}
+
+// startSignalTransport is a local transport that reports each Run's cell
+// ID on started as the Run begins.
+type startSignalTransport struct {
+	LocalTransport
+	started chan string
+}
+
+func (st *startSignalTransport) Run(ctx context.Context, a Attempt, workDir string, beat func()) error {
+	select {
+	case st.started <- a.Cell.ID:
+	default: // the test reads only the first few starts
+	}
+	return st.LocalTransport.Run(ctx, a, workDir, beat)
+}
+
+// TestFleetReleasesSlotBeforeAcceptance runs two cells through one slot
+// and holds the first cell's acceptance until the second cell's Run has
+// started. That can only happen if the first attempt handed its slot back
+// when Run returned, before verification and acceptance; a coordinator
+// that frees the slot only when it settles the result fails on the
+// timeout instead of hanging. Both cells must still complete.
+func TestFleetReleasesSlotBeforeAcceptance(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess fleet run")
+	}
+	g := tinyGrid("release", 13) // two cells
+	opts := testOpts(t)
+	tr := &startSignalTransport{
+		LocalTransport: LocalTransport{Executable: opts.Executable, Slots: 1},
+		started:        make(chan string, 8),
+	}
+	opts.Transports = []Transport{tr}
+
+	var held atomic.Bool
+	preAccept = func(id string) {
+		if !held.CompareAndSwap(false, true) {
+			return
+		}
+		timeout := time.NewTimer(30 * time.Second)
+		defer timeout.Stop()
+		for {
+			select {
+			case got := <-tr.started:
+				if got != id {
+					return
+				}
+			case <-timeout.C:
+				t.Errorf("cell %s held the only slot through acceptance: no other cell's Run started within 30s", id)
+				return
+			}
+		}
+	}
+	t.Cleanup(func() { preAccept = nil })
+
+	sum := runFleet(t, t.TempDir(), g, opts, false)
+	if sum.Cells != 2 || sum.Completed != 2 || len(sum.Quarantined) != 0 {
+		t.Fatalf("summary %+v, want both cells completed", sum)
+	}
+	if !held.Load() {
+		t.Error("pre-acceptance hook never ran")
 	}
 }
 

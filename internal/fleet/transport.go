@@ -42,7 +42,10 @@ type Transport interface {
 	// Name identifies the transport in journal records and logs
 	// ("local", "agent:host:port").
 	Name() string
-	// Capacity is how many attempts the transport runs concurrently.
+	// Capacity is how many attempts the transport runs concurrently. A
+	// slot is busy from dispatch until Run returns: the coordinator
+	// verifies and accepts a finished attempt's output after handing its
+	// slot to the next one.
 	Capacity() int
 	// Run executes the attempt, calling beat on every liveness signal,
 	// and leaves the attempt's artifact tree in workDir. A nil return

@@ -10,12 +10,15 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 
 	"github.com/ethpbs/pbslab/internal/atomicio"
+	"github.com/ethpbs/pbslab/internal/stats"
 )
 
 // ErrNoManifest marks a directory with no manifest at all — an empty dir, a
@@ -58,22 +61,26 @@ func buildManifest(arts []Artifact) Manifest {
 	return m
 }
 
-// writeArtifacts lands every artifact and the covering manifest in dir,
-// each file via atomic temp + rename. The manifest goes last: its presence
-// certifies the files it lists. Artifact names may contain slashes (the
-// chunked dataset lives under dataset/); parent directories are created as
-// needed.
+// writeArtifacts lands every artifact and the covering manifest in dir.
+// The artifacts go out as one atomicio batch; the manifest goes last, on
+// its own, once every artifact directory has been synced: its presence
+// certifies durable files. Artifact names may contain slashes (the chunked
+// dataset lives under dataset/); parent directories are created as needed.
 func writeArtifacts(dir string, arts []Artifact) error {
-	for _, art := range arts {
+	files := make([]atomicio.File, len(arts))
+	made := map[string]bool{dir: true}
+	for i, art := range arts {
 		path := filepath.Join(dir, filepath.FromSlash(art.Name))
-		if parent := filepath.Dir(path); parent != dir {
+		if parent := filepath.Dir(path); !made[parent] {
 			if err := os.MkdirAll(parent, 0o755); err != nil {
 				return fmt.Errorf("report: %s: %w", art.Name, err)
 			}
+			made[parent] = true
 		}
-		if err := atomicio.WriteFile(path, art.Data, 0o644); err != nil {
-			return fmt.Errorf("report: %s: %w", art.Name, err)
-		}
+		files[i] = atomicio.File{Path: path, Data: art.Data}
+	}
+	if err := atomicio.WriteFiles(files, 0o644); err != nil {
+		return fmt.Errorf("report: %w", err)
 	}
 	data, err := json.MarshalIndent(buildManifest(arts), "", "  ")
 	if err != nil {
@@ -128,34 +135,23 @@ func (p Problem) String() string {
 // VerifyDir checks an output directory against its manifest and returns
 // every discrepancy: listed-but-missing files, size or checksum mismatches,
 // and unlisted (stale) files including temp debris. An empty slice means
-// the directory is exactly what the manifest certifies.
+// the directory is exactly what the manifest certifies. Listed files are
+// checked up to GOMAXPROCS at a time, each hashed as a stream.
 func VerifyDir(dir string) ([]Problem, error) {
 	m, err := ReadManifest(dir)
 	if err != nil {
 		return nil, err
 	}
+	found := make([]Problem, len(m.Artifacts))
+	stats.ParallelDays(len(m.Artifacts), runtime.GOMAXPROCS(0), func(i int) {
+		found[i] = checkEntry(dir, m.Artifacts[i])
+	})
 	var problems []Problem
 	listed := make(map[string]bool, len(m.Artifacts))
-	for _, e := range m.Artifacts {
+	for i, e := range m.Artifacts {
 		listed[e.Name] = true
-		data, err := os.ReadFile(filepath.Join(dir, filepath.FromSlash(e.Name)))
-		if err != nil {
-			if os.IsNotExist(err) {
-				problems = append(problems, Problem{Name: e.Name, Kind: ProblemMissing, Detail: "listed in manifest, not on disk"})
-			} else {
-				problems = append(problems, Problem{Name: e.Name, Kind: ProblemCorrupt, Detail: err.Error()})
-			}
-			continue
-		}
-		if int64(len(data)) != e.Size {
-			problems = append(problems, Problem{Name: e.Name, Kind: ProblemCorrupt,
-				Detail: fmt.Sprintf("size %d, manifest says %d", len(data), e.Size)})
-			continue
-		}
-		sum := sha256.Sum256(data)
-		if got := hex.EncodeToString(sum[:]); got != e.SHA256 {
-			problems = append(problems, Problem{Name: e.Name, Kind: ProblemCorrupt,
-				Detail: fmt.Sprintf("sha256 %.12s.., manifest says %.12s..", got, e.SHA256)})
+		if found[i].Kind != "" {
+			problems = append(problems, found[i])
 		}
 	}
 	// The stale sweep walks subdirectories too: a chunked dataset's
@@ -194,4 +190,32 @@ func VerifyDir(dir string) ([]Problem, error) {
 		return problems[i].Kind < problems[j].Kind
 	})
 	return problems, nil
+}
+
+// checkEntry checks one listed file against its manifest entry, hashing it
+// as a stream so concurrent checks never hold whole files. It returns the
+// zero Problem when the file matches.
+func checkEntry(dir string, e ManifestEntry) Problem {
+	f, err := os.Open(filepath.Join(dir, filepath.FromSlash(e.Name)))
+	if err != nil {
+		if os.IsNotExist(err) {
+			return Problem{Name: e.Name, Kind: ProblemMissing, Detail: "listed in manifest, not on disk"}
+		}
+		return Problem{Name: e.Name, Kind: ProblemCorrupt, Detail: err.Error()}
+	}
+	defer f.Close()
+	h := sha256.New()
+	n, err := io.Copy(h, f)
+	if err != nil {
+		return Problem{Name: e.Name, Kind: ProblemCorrupt, Detail: err.Error()}
+	}
+	if n != e.Size {
+		return Problem{Name: e.Name, Kind: ProblemCorrupt,
+			Detail: fmt.Sprintf("size %d, manifest says %d", n, e.Size)}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != e.SHA256 {
+		return Problem{Name: e.Name, Kind: ProblemCorrupt,
+			Detail: fmt.Sprintf("sha256 %.12s.., manifest says %.12s..", got, e.SHA256)}
+	}
+	return Problem{}
 }

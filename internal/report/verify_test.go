@@ -6,8 +6,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 
+	"github.com/ethpbs/pbslab/internal/atomicio"
 	"github.com/ethpbs/pbslab/internal/faults"
 )
 
@@ -247,5 +250,108 @@ func TestWriteAllExtraCoversExtraArtifacts(t *testing.T) {
 	}
 	if len(m.Artifacts) != 2 {
 		t.Fatalf("manifest lists %d artifacts, want 2", len(m.Artifacts))
+	}
+}
+
+// TestWriteArtifactsSyncsDirsBeforeManifest holds the publication order:
+// the artifacts land as one batch whose directories are all synced while
+// manifest.json does not exist yet, and the manifest's own write (the last
+// sync, of the top directory) comes after every one of them.
+func TestWriteArtifactsSyncsDirsBeforeManifest(t *testing.T) {
+	dir := t.TempDir()
+	arts := []Artifact{
+		{Name: "fig01_alpha.csv", Data: []byte("day,value\n1,2\n")},
+		{Name: "dataset/common.seg", Data: bytes.Repeat([]byte{0xAB}, 64)},
+		{Name: "dataset/day-000000.seg", Data: bytes.Repeat([]byte{0xCD}, 64)},
+		{Name: "tables.txt", Data: []byte("# tables\nrows\n")},
+	}
+	type syncRec struct {
+		dir      string
+		manifest bool
+	}
+	orig := atomicio.SyncDir
+	defer func() { atomicio.SyncDir = orig }()
+	var mu sync.Mutex
+	var syncs []syncRec
+	atomicio.SyncDir = func(d string) error {
+		_, err := os.Stat(filepath.Join(dir, ManifestName))
+		mu.Lock()
+		syncs = append(syncs, syncRec{dir: d, manifest: err == nil})
+		mu.Unlock()
+		return orig(d)
+	}
+
+	if err := writeArtifacts(dir, arts); err != nil {
+		t.Fatal(err)
+	}
+	artifactDirs := map[string]bool{dir: false, filepath.Join(dir, "dataset"): false}
+	if len(syncs) != len(artifactDirs)+1 {
+		t.Fatalf("syncs = %v, want one per artifact directory plus the manifest's", syncs)
+	}
+	for _, s := range syncs[:len(syncs)-1] {
+		if s.manifest {
+			t.Errorf("artifact directory %s synced after manifest.json appeared", s.dir)
+		}
+		if synced, ok := artifactDirs[s.dir]; !ok || synced {
+			t.Errorf("unexpected or repeated artifact-directory sync of %s", s.dir)
+		}
+		artifactDirs[s.dir] = true
+	}
+	if last := syncs[len(syncs)-1]; last.dir != dir || !last.manifest {
+		t.Errorf("last sync = %+v, want the manifest's sync of %s", last, dir)
+	}
+}
+
+// TestVerifyDirStreamsFilesLargerThanCopyBuffer damages files several copy
+// buffers long, so the streamed hash reads each in more than one chunk: a
+// truncation and a single flipped bit past the first chunk must both be
+// reported as corrupt, the truncation by size and the flip by digest.
+func TestVerifyDirStreamsFilesLargerThanCopyBuffer(t *testing.T) {
+	dir := t.TempDir()
+	big := func(seed byte) []byte {
+		data := make([]byte, 100<<10)
+		for i := range data {
+			data[i] = seed + byte(i*31)
+		}
+		return data
+	}
+	arts := []Artifact{
+		{Name: "dataset/day-000000.seg", Data: big(1)},
+		{Name: "dataset/day-000001.seg", Data: big(2)},
+		{Name: "dataset/day-000002.seg", Data: big(3)},
+	}
+	if err := writeArtifacts(dir, arts); err != nil {
+		t.Fatal(err)
+	}
+	truncated := filepath.Join(dir, "dataset", "day-000000.seg")
+	if err := os.Truncate(truncated, 70<<10); err != nil {
+		t.Fatal(err)
+	}
+	flipped := filepath.Join(dir, "dataset", "day-000001.seg")
+	data, err := os.ReadFile(flipped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[80<<10] ^= 0x10
+	if err := os.WriteFile(flipped, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	problems, err := VerifyDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []struct{ name, detail string }{
+		{"dataset/day-000000.seg", fmt.Sprintf("size %d, manifest says %d", 70<<10, 100<<10)},
+		{"dataset/day-000001.seg", "sha256 "},
+	}
+	if len(problems) != len(want) {
+		t.Fatalf("problems = %v, want %d corrupt findings", problems, len(want))
+	}
+	for i, w := range want {
+		p := problems[i]
+		if p.Name != w.name || p.Kind != ProblemCorrupt || !strings.HasPrefix(p.Detail, w.detail) {
+			t.Errorf("problem %d = %v, want %s corrupt (%s...)", i, p, w.name, w.detail)
+		}
 	}
 }

@@ -11,11 +11,12 @@ package sim
 //   B. Build (parallel): each builder constructs its block against a private
 //      copy-on-write fork of the canonical state, drawing only from its own
 //      private RNG stream, so scheduling order cannot perturb any draw. The
-//      build records the block's execution as it packs it.
-//   C. Validate (sequential): each distinct built block's header is checked
-//      against the head, and the build's own fork and execution are primed
-//      into the shared validation cache. The relays judge the block on that
-//      execution; no block is executed a second time.
+//      build records the block's execution as it packs it, and the task
+//      checks the block's header against the head, which no task mutates.
+//   C. Validate (sequential): each distinct built block's own fork and
+//      execution, or its header-check error, are primed into the shared
+//      validation cache. The relays judge the block on that execution; no
+//      block is executed a second time.
 //   D. Commit (parallel per relay): each relay takes its own submissions
 //      in builder order on one goroutine, so order-sensitive relay state
 //      (best-bid replacement is strictly-greater) does not depend on the
@@ -54,6 +55,9 @@ type buildTask struct {
 	res  *builder.Result
 	sub  *pbs.Submission
 	ok   bool
+	// checkErr is chain.ValidateExecuted's verdict on a successful build,
+	// taken in phase B.
+	checkErr error
 
 	bundles   []*types.Bundle
 	candidate []*types.Transaction
@@ -127,6 +131,7 @@ func (eng *slotEngine) grabTask() *buildTask {
 	t.res = nil
 	t.sub = nil
 	t.ok = false
+	t.checkErr = nil
 	t.bundles = t.bundles[:0]
 	t.candidate = t.candidate[:0]
 	return t
@@ -234,7 +239,10 @@ func (eng *slotEngine) runSlot(now time.Time, slot uint64, proposerPub types.Pub
 	// Phase B: parallel builds. Each task's builder is distinct and draws
 	// only from its private RNG stream against a private state fork, so the
 	// fan-out cannot change any byte of any block. Exploit tasks share the
-	// exploiter's stream and run sequentially after the pool drains.
+	// exploiter's stream and run sequentially after the pool drains. Each
+	// successful build's header check runs in its task: it reads only the
+	// block, the head, the next base fee, the slot time and the chain
+	// config, none of which a build changes.
 	if n := len(eng.par); n > 0 {
 		err := stats.ParallelDaysErr(context.Background(), n, eng.workers, func(i int) error {
 			t := eng.par[i]
@@ -242,6 +250,7 @@ func (eng *slotEngine) runSlot(now time.Time, slot uint64, proposerPub types.Pub
 			t.res, t.ok = t.e.B.Build(t.args)
 			if t.ok {
 				t.sub = t.e.B.Submission(t.args, t.res)
+				t.checkErr = w.Chain.ValidateExecuted(t.res.Block, t.res.Exec)
 			}
 			return nil
 		})
@@ -257,11 +266,12 @@ func (eng *slotEngine) runSlot(now time.Time, slot uint64, proposerPub types.Pub
 		}
 		t.res.Payment = t.claim // the lie
 		t.sub = w.Exploiter.Submission(t.args, t.res)
+		t.checkErr = w.Chain.ValidateExecuted(t.res.Block, t.res.Exec)
 	}
 
 	// Phase C: adopt each distinct build's own execution as its
-	// validation. The header is checked against the head and the build's
-	// fork and result are primed into the shared cache, so every relay
+	// validation. The build's fork and result, or the header-check error
+	// its task recorded, are primed into the shared cache, so every relay
 	// check in phase D is a cache hit and runs on that real execution.
 	for _, t := range eng.order {
 		if !t.ok {
@@ -272,8 +282,8 @@ func (eng *slotEngine) runSlot(now time.Time, slot uint64, proposerPub types.Pub
 			continue
 		}
 		cv := cachedValidation{res: t.res.Exec, st: t.args.State}
-		if err := w.Chain.ValidateExecuted(t.res.Block, t.res.Exec); err != nil {
-			cv = cachedValidation{err: err}
+		if t.checkErr != nil {
+			cv = cachedValidation{err: t.checkErr}
 		}
 		if adoptCheck != nil {
 			if err := adoptCheck(w.Chain, t.res.Block, cv); err != nil {

@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check gofmt-check docs-lint staticcheck govulncheck chaos chaos-fleet chaos-agent chaos-wan soak crawl bench bench-serve bench-serve-sustained bench-fleet bench-scale bench-agent clean
+.PHONY: all build vet test race check gofmt-check docs-lint staticcheck govulncheck fuzz chaos chaos-fleet chaos-agent chaos-wan soak crawl bench bench-serve bench-serve-sustained bench-fleet bench-scale bench-agent clean
 
 all: check
 
@@ -24,7 +24,8 @@ race:
 # shared view, the defi contracts the parallel builds execute, and the
 # batched atomic writer and pooled manifest verifier pass under the race
 # detector, the full suite (including the sim's committed-digest goldens)
-# passes, and the chaos suite proves the pipeline is crash-safe.
+# passes, the corpus encoder survives a short fuzz run, and the chaos
+# suite proves the pipeline is crash-safe.
 check:
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -34,6 +35,7 @@ check:
 	$(MAKE) govulncheck
 	$(GO) test -race ./internal/core/... ./internal/stats/... ./internal/state/... ./internal/searcher/... ./internal/relay/... ./internal/defi/... ./internal/atomicio/... ./internal/report/...
 	$(GO) test ./...
+	$(MAKE) fuzz
 	$(MAKE) chaos
 	$(MAKE) chaos-fleet
 	$(MAKE) chaos-agent
@@ -67,6 +69,13 @@ govulncheck:
 	else \
 		echo "govulncheck not installed; skipping (go install golang.org/x/vuln/cmd/govulncheck@latest)"; \
 	fi
+
+# Short fuzz budget: the hand-written segment encoder must write
+# encoding/gob's bytes for arbitrary corpora, and gob must decode them back
+# (internal/dsio; seeds in testdata/fuzz). Without -fuzz, go test replays
+# the committed seeds only.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzEncodeSegmentMatchesGob$$' -fuzztime 10s ./internal/dsio
 
 # Crash-safety suite under the race detector: kill-and-resume goldens
 # (simulation checkpoints and byte-identical artifacts at one and several

@@ -26,10 +26,24 @@
 // lands the same files on disk as one atomicio batch, index last. There is
 // no streaming writer: the encoded corpus is held in memory once.
 //
+// # Encoding
+//
+// Every segment is an encoding/gob stream, and every reader decodes it
+// with gob into the DTOs (segCommon, segDay, commonDTO, blockDTO, txDTO).
+// gob does not write them: a hand encoder (encode.go) reads dataset.Block
+// and the common section in place, sizes each segment in a first pass,
+// then appends gob's exact bytes into one buffer of exactly that size. It
+// takes each envelope's type-descriptor prefix and type id from gob
+// itself, out of the two encodes the init-time type-ID pin already makes,
+// and init panics if the encoder disagrees with gob on the empty
+// envelopes. A change to a DTO must change the encoder too:
+// TestEncodeChunkedMatchesGob and FuzzEncodeSegmentMatchesGob compare its
+// output with a gob.Encoder's byte for byte and fail until it does.
+//
 // The encoding is deterministic: maps are flattened into sorted slices
-// before gob sees them, so the same corpus always encodes to the same
-// bytes and the enclosing manifest digest is stable. Transactions travel
-// as DTOs without their cached hash; decoding rebuilds them through
+// before encoding, so the same corpus always encodes to the same bytes and
+// the enclosing manifest digest is stable. Transactions travel as DTOs
+// without their cached hash; decoding rebuilds them through
 // types.NewTransaction, so hashes are recomputed rather than trusted from
 // disk (the same rule the simulation checkpoints follow).
 //

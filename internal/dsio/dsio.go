@@ -2,9 +2,7 @@ package dsio
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
-	"io"
 	"sort"
 	"time"
 
@@ -19,17 +17,21 @@ import (
 // first-use order, so the same corpus would encode to value-equal but
 // byte-different streams depending on what the process gob-encoded or
 // -decoded earlier — a worker that restored a checkpoint before dumping
-// its dataset, for example. Walking the full DTO closure here pins those
-// IDs at init, before any runtime gob traffic, making segment bytes
-// canonical: equal corpora hash equal in every binary linking this
-// package, which manifest digests and byte-level corpus comparison rely
-// on.
+// its dataset, for example. Encoding both envelopes here pins those IDs at
+// init, before any runtime gob traffic, making segment bytes canonical:
+// equal corpora hash equal in every binary linking this package, which
+// manifest digests and byte-level corpus comparison rely on. The same two
+// encodes hand the segment encoder (encode.go) its descriptor prefixes and
+// type ids, and the encoder must reproduce both streams exactly.
 func init() {
-	enc := gob.NewEncoder(io.Discard)
-	for _, v := range []any{&segCommon{}, &segDay{}} {
-		if err := enc.Encode(v); err != nil {
-			panic(fmt.Sprintf("dsio: pin gob type IDs: %v", err))
-		}
+	var common, day []byte
+	commonWire, common = pinWire(&segCommon{})
+	dayWire, day = pinWire(&segDay{})
+	if got, err := encodeCommon(&segCommon{}); err != nil || !bytes.Equal(got, common) {
+		panic(fmt.Sprintf("dsio: segment encoder disagrees with gob on the empty common segment (%v)", err))
+	}
+	if got, err := encodeDay(0, 0, nil); err != nil || !bytes.Equal(got, day) {
+		panic(fmt.Sprintf("dsio: segment encoder disagrees with gob on the empty day segment (%v)", err))
 	}
 }
 
@@ -41,13 +43,6 @@ type txDTO struct {
 	Gas            uint64
 	MaxFee, MaxTip types.Wei
 	Data           []byte
-}
-
-func toTxDTO(tx *types.Transaction) txDTO {
-	return txDTO{
-		Nonce: tx.Nonce, From: tx.From, To: tx.To, Value: tx.Value,
-		Gas: tx.Gas, MaxFee: tx.MaxFee, MaxTip: tx.MaxTip, Data: tx.Data,
-	}
 }
 
 func (d txDTO) tx() *types.Transaction {
@@ -71,19 +66,6 @@ type blockDTO struct {
 	Traces       []types.Trace
 	Burned       types.Wei
 	Tips         types.Wei
-}
-
-func blockToDTO(b *dataset.Block) blockDTO {
-	d := blockDTO{
-		Number: b.Number, Hash: b.Hash, Slot: b.Slot, Time: b.Time,
-		FeeRecipient: b.FeeRecipient, GasUsed: b.GasUsed, GasLimit: b.GasLimit,
-		BaseFee: b.BaseFee, Txs: make([]txDTO, len(b.Txs)),
-		Receipts: b.Receipts, Traces: b.Traces, Burned: b.Burned, Tips: b.Tips,
-	}
-	for j, tx := range b.Txs {
-		d.Txs[j] = toTxDTO(tx)
-	}
-	return d
 }
 
 func (d blockDTO) block() *dataset.Block {
@@ -138,6 +120,7 @@ func toCommonDTO(ds *dataset.Dataset, labels map[types.Address]string) commonDTO
 		c.MEVBySource = append(c.MEVBySource, sourceDTO{Source: source, Labels: ls})
 	}
 	sort.Slice(c.MEVBySource, func(i, j int) bool { return c.MEVBySource[i].Source < c.MEVBySource[j].Source })
+	c.Arrivals = make([]p2p.Observation, 0, len(ds.Arrivals))
 	for _, obs := range ds.Arrivals {
 		c.Arrivals = append(c.Arrivals, obs)
 	}

@@ -108,7 +108,7 @@ func EncodeChunked(ds *dataset.Dataset, labels map[types.Address]string) ([]File
 		byDay[d] = append(byDay[d], b)
 	}
 	files := make([]File, 0, days+2)
-	common, err := encodeGob(&segCommon{Version: segmentVersion, Common: toCommonDTO(ds, labels)})
+	common, err := encodeCommon(&segCommon{Version: segmentVersion, Common: toCommonDTO(ds, labels)})
 	if err != nil {
 		return nil, fmt.Errorf("dsio: encode common: %w", err)
 	}
@@ -120,13 +120,7 @@ func EncodeChunked(ds *dataset.Dataset, labels map[types.Address]string) ([]File
 		Common:  IndexFile{Name: CommonName, Size: int64(len(common)), SHA256: digest(common)},
 	}
 	for day, blocks := range byDay {
-		env := segDay{Version: segmentVersion, Day: day, Blocks: make([]blockDTO, len(blocks))}
-		txs := 0
-		for i, b := range blocks {
-			env.Blocks[i] = blockToDTO(b)
-			txs += len(b.Txs)
-		}
-		data, err := encodeGob(&env)
+		data, err := encodeDay(segmentVersion, day, blocks)
 		if err != nil {
 			return nil, fmt.Errorf("dsio: encode day %d: %w", day, err)
 		}
@@ -137,23 +131,15 @@ func EncodeChunked(ds *dataset.Dataset, labels map[types.Address]string) ([]File
 			Size: int64(len(data)), SHA256: digest(data),
 		})
 		idx.TotalBlcks += len(blocks)
-		idx.TotalTxs += txs
+		for _, b := range blocks {
+			idx.TotalTxs += len(b.Txs)
+		}
 	}
 	data, err := json.MarshalIndent(&idx, "", "  ")
 	if err != nil {
 		return nil, fmt.Errorf("dsio: encode index: %w", err)
 	}
 	return append(files, File{Name: IndexName, Data: append(data, '\n')}), nil
-}
-
-// encodeGob encodes v with a fresh encoder, so every segment carries its
-// own type descriptors and decodes on its own.
-func encodeGob(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }
 
 func digest(data []byte) string {

@@ -82,24 +82,7 @@ func TestEncodeChunkedMatchesWriteDays(t *testing.T) {
 func TestChunkedEmptyDay(t *testing.T) {
 	res := smallRun(t)
 	full := res.Dataset
-	pruned := &dataset.Dataset{
-		Start:       full.Start,
-		End:         full.End,
-		MEVLabels:   full.MEVLabels,
-		MEVBySource: full.MEVBySource,
-		Arrivals:    full.Arrivals,
-		Relays:      full.Relays,
-		Sanctions:   full.Sanctions,
-	}
-	for _, b := range full.Blocks {
-		if full.BlockDay(b) == 1 {
-			continue
-		}
-		pruned.Blocks = append(pruned.Blocks, b)
-	}
-	if len(pruned.Blocks) == len(full.Blocks) {
-		t.Fatal("fixture: day 1 had no blocks to drop")
-	}
+	pruned := pruneDay(t, full, 1)
 
 	dir := t.TempDir()
 	if err := WriteDays(dir, pruned, nil); err != nil {
@@ -126,6 +109,30 @@ func TestChunkedEmptyDay(t *testing.T) {
 	if len(ds.Blocks) != len(pruned.Blocks) {
 		t.Fatalf("round trip: %d blocks, want %d", len(ds.Blocks), len(pruned.Blocks))
 	}
+}
+
+// pruneDay returns a copy of ds without the blocks of one day, leaving a
+// block-free day inside the window.
+func pruneDay(t *testing.T, ds *dataset.Dataset, day int) *dataset.Dataset {
+	t.Helper()
+	pruned := &dataset.Dataset{
+		Start:       ds.Start,
+		End:         ds.End,
+		MEVLabels:   ds.MEVLabels,
+		MEVBySource: ds.MEVBySource,
+		Arrivals:    ds.Arrivals,
+		Relays:      ds.Relays,
+		Sanctions:   ds.Sanctions,
+	}
+	for _, b := range ds.Blocks {
+		if ds.BlockDay(b) != day {
+			pruned.Blocks = append(pruned.Blocks, b)
+		}
+	}
+	if len(pruned.Blocks) == len(ds.Blocks) {
+		t.Fatalf("fixture: day %d had no blocks to drop", day)
+	}
+	return pruned
 }
 
 // TestChunkedTornSegment truncates one day segment after the index was

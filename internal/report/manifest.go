@@ -10,12 +10,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash"
 	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"runtime"
 	"sort"
+	"sync"
 
 	"github.com/ethpbs/pbslab/internal/atomicio"
 	"github.com/ethpbs/pbslab/internal/stats"
@@ -192,6 +194,9 @@ func VerifyDir(dir string) ([]Problem, error) {
 	return problems, nil
 }
 
+// copyBufs holds the read buffers the verify workers hash through.
+var copyBufs = sync.Pool{New: func() any { return new([32 << 10]byte) }}
+
 // checkEntry checks one listed file against its manifest entry, hashing it
 // as a stream so concurrent checks never hold whole files. It returns the
 // zero Problem when the file matches.
@@ -205,7 +210,7 @@ func checkEntry(dir string, e ManifestEntry) Problem {
 	}
 	defer f.Close()
 	h := sha256.New()
-	n, err := io.Copy(h, f)
+	n, err := hashFile(h, f)
 	if err != nil {
 		return Problem{Name: e.Name, Kind: ProblemCorrupt, Detail: err.Error()}
 	}
@@ -218,4 +223,26 @@ func checkEntry(dir string, e ManifestEntry) Problem {
 			Detail: fmt.Sprintf("sha256 %.12s.., manifest says %.12s..", got, e.SHA256)}
 	}
 	return Problem{}
+}
+
+// hashFile streams f into h through a pooled buffer and returns the bytes
+// read. It loops on Read itself: io.Copy would allocate a 32 KiB buffer
+// per file (*os.File.WriteTo falls back to it when the destination is a
+// hash), most files a corpus holds are smaller than that, and
+// io.CopyBuffer would skip the pooled buffer for the same WriteTo.
+func hashFile(h hash.Hash, f *os.File) (int64, error) {
+	buf := copyBufs.Get().(*[32 << 10]byte)
+	defer copyBufs.Put(buf)
+	var n int64
+	for {
+		m, err := f.Read(buf[:])
+		h.Write(buf[:m])
+		n += int64(m)
+		if err == io.EOF {
+			return n, nil
+		}
+		if err != nil {
+			return n, err
+		}
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -354,4 +355,41 @@ func TestVerifyDirStreamsFilesLargerThanCopyBuffer(t *testing.T) {
 			t.Errorf("problem %d = %v, want %s corrupt (%s...)", i, p, w.name, w.detail)
 		}
 	}
+}
+
+// TestVerifyDirReusesCopyBuffers verifies a directory shaped like a window
+// scenario's corpus: 200 files of 1–36 KiB, most smaller than one copy
+// buffer. Once a first call has warmed the buffer pool, verifying must
+// allocate well under one 32 KiB buffer per file.
+func TestVerifyDirReusesCopyBuffers(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race: sync.Pool drops Puts there")
+	}
+	dir := t.TempDir()
+	arts := make([]Artifact, 200)
+	for i := range arts {
+		data := make([]byte, 1<<10+i*(35<<10)/(len(arts)-1))
+		for j := range data {
+			data[j] = byte(i + j)
+		}
+		arts[i] = Artifact{Name: fmt.Sprintf("dataset/day-%06d.seg", i), Data: data}
+	}
+	if err := writeArtifacts(dir, arts); err != nil {
+		t.Fatal(err)
+	}
+	if problems, err := VerifyDir(dir); err != nil || len(problems) != 0 {
+		t.Fatalf("warm-up verify: problems %v, err %v", problems, err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	problems, err := VerifyDir(dir)
+	runtime.ReadMemStats(&after)
+	if err != nil || len(problems) != 0 {
+		t.Fatalf("verify: problems %v, err %v", problems, err)
+	}
+	perFile := (after.TotalAlloc - before.TotalAlloc) / uint64(len(arts))
+	if perFile >= 8<<10 {
+		t.Errorf("VerifyDir allocated %d bytes per file, want under 8 KiB", perFile)
+	}
+	t.Logf("VerifyDir allocated %d bytes per file", perFile)
 }

@@ -72,10 +72,13 @@ govulncheck:
 
 # Short fuzz budget: the hand-written segment encoder must write
 # encoding/gob's bytes for arbitrary corpora, and gob must decode them back
-# (internal/dsio; seeds in testdata/fuzz). Without -fuzz, go test replays
-# the committed seeds only.
+# (internal/dsio); Retry-After parsing never goes negative and saturates
+# oversized delta-seconds (internal/backoff). Seeds are in each package's
+# testdata/fuzz. go test fuzzes one target per invocation; without -fuzz it
+# replays the committed seeds only.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzEncodeSegmentMatchesGob$$' -fuzztime 10s ./internal/dsio
+	$(GO) test -run '^$$' -fuzz '^FuzzParseRetryAfter$$' -fuzztime 5s ./internal/backoff
 
 # Crash-safety suite under the race detector: kill-and-resume goldens
 # (simulation checkpoints and byte-identical artifacts at one and several
@@ -136,13 +139,13 @@ chaos-wan:
 # balanced admission ledger, zero-loss graceful drain, verified hot-swap
 # reloads (corrupt directory and corrupt dataset both rejected while the
 # old snapshot keeps serving), panic isolation, slow-loris bounding, seeded
-# server-side fault injection, kill-and-restart byte-identity, the response
-# cache's consistency chaos (reload-under-load mixed-fingerprint check,
-# singleflight herd collapse, failed/abandoned fills never poisoning), and
-# the replica set's coordinated-swap and proxy-retry contracts.
+# server-side fault injection, kill-and-restart byte-identity, and the
+# response cache's consistency chaos (reload-under-load mixed-fingerprint
+# check, singleflight herd collapse, failed/abandoned fills never
+# poisoning).
 soak:
 	$(GO) test -race -count=1 \
-		-run 'Admission|ServeOverload|Drain|Reload|ServePanic|SlowLoris|FaultInjection|Poller|KillAndRestart|WriteFile|Decode|Cache|Replica|Singleflight' \
+		-run 'Admission|ServeOverload|Drain|Reload|ServePanic|SlowLoris|FaultInjection|Poller|KillAndRestart|WriteFile|Decode|Cache|Singleflight' \
 		./internal/serve/... ./internal/atomicio/... ./internal/dsio/...
 
 # The fault-injected crawl demo (byte-identical stdout per -seed).
@@ -173,8 +176,8 @@ bench-serve:
 
 # DESIGN.md §13 benchmark: the sustained-load serving tier. Re-measures the
 # burst baseline (ServeLoad) and runs the closed-loop harness (32 clients,
-# 1ms think) over nocache / cached / replicas-4x arms in one record, so the
-# derived ratios compare numbers from the same machine and run:
+# 1ms think) over nocache / cached arms in one record, so the derived
+# ratios compare numbers from the same machine and run:
 # derived.sustained_speedup_vs_pr5 (acceptance: >= 10),
 # derived.sustained_p99_ratio_vs_pr5 (acceptance: <= 2),
 # derived.sustained_cache_hit_rate and derived.sustained_cache_speedup in

@@ -250,14 +250,6 @@ func derive(rec *Record) {
 			}
 		}
 	}
-	if reps, ok := rec.Benchmarks["ServeSustained/mode=replicas-4x"]; ok {
-		if t, ok := reps.Metrics["served_per_sec"]; ok {
-			if rec.Derived == nil {
-				rec.Derived = map[string]float64{}
-			}
-			rec.Derived["sustained_replicas_served_per_sec"] = t
-		}
-	}
 }
 
 func main() {

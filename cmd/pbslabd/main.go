@@ -9,7 +9,7 @@
 //	pbslabd -data DIR [-addr HOST:PORT] [-max-inflight N] [-queue N]
 //	        [-queue-wait D] [-request-timeout D] [-retry-after D]
 //	        [-reload-poll D] [-workers N] [-drain-timeout D]
-//	        [-cache-mb N] [-replicas N] [-admin-secret-file F]
+//	        [-cache-mb N] [-admin-secret-file F]
 //
 // The data directory must verify clean against its manifest (pbslab
 // -figures DIR writes one; add -dump-dataset to enable index queries).
@@ -17,16 +17,14 @@
 // finishes every in-flight request, then exits 130, the same interrupted-run
 // convention pbslab itself uses.
 //
-// -cache-mb budgets the per-replica response cache (default 64 MiB,
-// 0 disables it). -replicas N > 1 runs N full serving planes over the same
-// directory behind a least-inflight front proxy on -addr; snapshot swaps
-// are then coordinated — every replica verifies the candidate and one
-// rejection keeps the whole fleet on the old snapshot.
+// -cache-mb budgets the response cache (default 64 MiB, 0 disables it).
+// To scale out, run several pbslabd processes behind any load balancer:
+// each verifies its own directory and tags every response with
+// X-Pbslab-Fingerprint.
 //
 // Endpoints:
 //
 //	GET  /healthz              liveness + admission/cache counters
-//	                           (replica mode: per-replica + proxy stats)
 //	GET  /readyz               readiness; 503 when degraded or empty
 //	GET  /api/v1/meta          snapshot provenance and window
 //	GET  /api/v1/stats         admission ledger, cache, panics, store status
@@ -36,7 +34,6 @@
 //	GET  /api/v1/figure/{key}  one figure's day-indexed series
 //	GET  /api/v1/day/{day}     every figure's value on one day
 //	POST /admin/reload         verify + hot-swap a candidate directory
-//	                           (replica mode: coordinated across the fleet)
 package main
 
 import (
@@ -67,8 +64,7 @@ func run() int {
 	reloadPoll := flag.Duration("reload-poll", 0, "poll the data dir's manifest and hot-swap on change (0 = manual reloads only)")
 	workers := flag.Int("workers", 0, "analysis worker pool for snapshot loads (0 = all CPUs)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "max time to wait for in-flight requests on shutdown")
-	cacheMB := flag.Int("cache-mb", 64, "response cache byte budget per replica in MiB (0 = disable caching)")
-	replicas := flag.Int("replicas", 1, "serving replicas behind a least-inflight front proxy (1 = single daemon)")
+	cacheMB := flag.Int("cache-mb", 64, "response cache byte budget in MiB (0 = disable caching)")
 	adminSecretFile := flag.String("admin-secret-file", "", "shared-secret file; POST /admin/reload then requires its HMAC signature")
 	flag.Parse()
 
@@ -104,10 +100,6 @@ func run() int {
 		AdminSecret:    adminSecret,
 	}
 
-	if *replicas > 1 {
-		return runReplicas(cfg, *replicas, *addr)
-	}
-
 	s := serve.NewServer(cfg)
 	if err := s.Init(context.Background()); err != nil {
 		fmt.Fprintf(os.Stderr, "pbslabd: %v\n", err)
@@ -125,41 +117,15 @@ func run() int {
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- s.Serve(ln) }()
-	return waitAndDrain(serveErr, s.Drain)
-}
 
-// runReplicas is the -replicas N > 1 path: N serving planes over one
-// directory, coordinated swaps, least-inflight proxy on addr.
-func runReplicas(cfg serve.Config, n int, addr string) int {
-	rs := serve.NewReplicaSet(cfg, n, 1)
-	if err := rs.Init(context.Background()); err != nil {
-		fmt.Fprintf(os.Stderr, "pbslabd: %v\n", err)
-		return 1
-	}
-	snap := rs.Replicas()[0].Store().Current()
-	fmt.Fprintf(os.Stderr, "pbslabd: serving %s (%d artifacts, dataset=%v) on %s via %d replicas\n",
-		snap.Dir, len(snap.Manifest.Artifacts), snap.HasDataset(), addr, n)
-
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pbslabd: %v\n", err)
-		return 1
-	}
-
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- rs.Serve(ln) }()
-	return waitAndDrain(serveErr, rs.Drain)
-}
-
-// waitAndDrain blocks until a termination signal (drain, exit 130) or a
-// serve error (exit 1) — the shared tail of both serving modes.
-func waitAndDrain(serveErr <-chan error, drain func(context.Context) error) int {
+	// Block until a termination signal (drain, exit 130) or a serve error
+	// (exit 1).
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM)
 	select {
 	case sig := <-sigs:
 		fmt.Fprintf(os.Stderr, "pbslabd: %s received, draining...\n", sig)
-		if err := drain(context.Background()); err != nil {
+		if err := s.Drain(context.Background()); err != nil {
 			fmt.Fprintf(os.Stderr, "pbslabd: %v\n", err)
 			return 1
 		}

@@ -8,6 +8,8 @@
 package backoff
 
 import (
+	"errors"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -21,15 +23,22 @@ import (
 // §10.2.3: either a non-negative delta-seconds integer or an HTTP-date.
 // Dates are resolved against now; a date in the past, a negative delta, or
 // garbage all parse to 0 (no hint), so a malformed server header can never
-// stall a client.
+// stall a client. A delta too large for a time.Duration saturates to the
+// largest one, as RFC 9111 §1.2.2 does for delta-seconds that overflow, so
+// the result is never negative and grows with the delta.
 func ParseRetryAfter(value string, now time.Time) time.Duration {
 	value = strings.TrimSpace(value)
 	if value == "" {
 		return 0
 	}
-	if secs, err := strconv.Atoi(value); err == nil {
-		if secs <= 0 {
+	// On overflow ParseInt returns ErrRange with the value clamped to the
+	// int64 range, which the bounds below then clamp further.
+	if secs, err := strconv.ParseInt(value, 10, 64); err == nil || errors.Is(err, strconv.ErrRange) {
+		switch {
+		case secs <= 0:
 			return 0
+		case secs > maxDeltaSeconds:
+			return math.MaxInt64
 		}
 		return time.Duration(secs) * time.Second
 	}
@@ -45,6 +54,9 @@ func ParseRetryAfter(value string, now time.Time) time.Duration {
 	}
 	return d
 }
+
+// maxDeltaSeconds is the largest delta-seconds a time.Duration holds.
+const maxDeltaSeconds = math.MaxInt64 / int64(time.Second)
 
 // Policy is a capped exponential backoff: the first retry waits Base, each
 // further retry doubles it, clamped to Max (overflow also clamps to Max).

@@ -1,7 +1,10 @@
 package backoff
 
 import (
+	"math"
+	"math/big"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 )
@@ -59,6 +62,14 @@ func TestParseRetryAfter(t *testing.T) {
 		{"garbage words", "soonish", 0},
 		{"garbage float", "1.5", 0},
 		{"garbage date", "Feb 30 25:61:00", 0},
+		// Delta-seconds saturate at the largest time.Duration instead of
+		// wrapping on the multiply by time.Second.
+		{"delta at duration limit", "9223372036", 9223372036 * time.Second},
+		{"delta wrapping negative", "9223372037", math.MaxInt64},
+		{"delta wrapping small", "18446744074", math.MaxInt64},
+		{"delta wrapping positive", "27670116110", math.MaxInt64},
+		{"delta beyond int64", "99999999999999999999", math.MaxInt64},
+		{"negative beyond int64", "-99999999999999999999", 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -67,6 +78,32 @@ func TestParseRetryAfter(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzParseRetryAfter feeds arbitrary header values to the parser. It must
+// never panic or return a negative wait, and a value that is all digits n
+// after trimming must give min(n seconds, the largest time.Duration).
+func FuzzParseRetryAfter(f *testing.F) {
+	now := time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)
+	largest := big.NewInt(math.MaxInt64)
+	f.Fuzz(func(t *testing.T, value string) {
+		got := ParseRetryAfter(value, now)
+		if got < 0 {
+			t.Fatalf("ParseRetryAfter(%q) = %v, negative", value, got)
+		}
+		digits := strings.TrimSpace(value)
+		if digits == "" || strings.Trim(digits, "0123456789") != "" {
+			return
+		}
+		n, _ := new(big.Int).SetString(digits, 10)
+		want := n.Mul(n, big.NewInt(int64(time.Second)))
+		if want.Cmp(largest) > 0 {
+			want = largest
+		}
+		if got != time.Duration(want.Int64()) {
+			t.Fatalf("ParseRetryAfter(%q) = %v, want %v", value, got, time.Duration(want.Int64()))
+		}
+	})
 }
 
 func TestDelayJitterDeterministicAndBounded(t *testing.T) {

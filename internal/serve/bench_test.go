@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -134,18 +133,14 @@ func BenchmarkServeLoad(b *testing.B) {
 // over a realistic route mix: per-day index queries, figure series, listing
 // endpoints and artifact bytes.
 //
-// Three arms:
+// Two arms:
 //
 //   - nocache: the cache disabled — every request recomputes and
 //     re-marshals its response. The control.
 //   - cached: the production default. Steady-state traffic is ~all hits:
 //     one map lookup plus one memcpy per response.
-//   - replicas-4x: four full serving planes behind the least-inflight
-//     proxy, driven through real loopback HTTP. On a single-CPU host this
-//     arm prices the proxy hop rather than showing scaling; it exists to
-//     keep the replica path measured by the same harness.
 //
-// The nocache/cached arms drive the full production middleware chain
+// Both arms drive the full production middleware chain
 // in-process (recover → admission → timeout → mux → cache): on this
 // harness's single-CPU machine, kernel TCP would otherwise dominate the
 // numbers and the cache's effect would be unmeasurable. The burst benchmark
@@ -258,37 +253,5 @@ func BenchmarkServeSustained(b *testing.B) {
 	b.Run("mode=cached", func(b *testing.B) {
 		s, _ := newTestServer(b, nil)
 		run(b, 300, inProcess(s.Handler()), s.CacheStats)
-	})
-
-	b.Run("mode=replicas-4x", func(b *testing.B) {
-		dir := b.TempDir()
-		buildDataDir(b, dir)
-		rs := NewReplicaSet(Config{DataDir: dir, RequestTimeout: 10 * time.Second}, 4, 1)
-		if err := rs.Init(context.Background()); err != nil {
-			b.Fatal(err)
-		}
-		h, err := rs.Start()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
-			_ = rs.Drain(ctx)
-		})
-		stats := func() CacheStats {
-			var tot CacheStats
-			for _, srv := range rs.Replicas() {
-				cs := srv.CacheStats()
-				tot.Hits += cs.Hits
-				tot.Misses += cs.Misses
-				tot.HitBytes += cs.HitBytes
-				tot.FillBytes += cs.FillBytes
-			}
-			return tot
-		}
-		// The proxy handler runs in-process; each attempt is a real HTTP
-		// round trip to a replica's loopback listener.
-		run(b, 100, inProcess(h), stats)
 	})
 }

@@ -447,7 +447,7 @@ func TestServeReloadRejectsCorruptDirKeepsServing(t *testing.T) {
 	if status := getJSON(t, ts.URL+"/readyz", &ready); status != http.StatusServiceUnavailable {
 		t.Fatalf("readyz after rejected reload: status %d", status)
 	}
-	if ready.Ready || !ready.Store.Degraded || !ready.Store.Serving || ready.Store.LastError == "" {
+	if ready.Ready || !ready.Store.Degraded || !ready.Store.Serving || ready.Store.LastError == "" || ready.Store.Rejects != 1 {
 		t.Fatalf("degradation not reported: %+v", ready)
 	}
 

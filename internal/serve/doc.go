@@ -36,9 +36,5 @@
 // immutable per snapshot, so hits are a memcpy with a strong ETag and a
 // 304 fast path, misses collapse into one singleflight fill that a
 // client disconnect cannot cancel or poison, and every swap purges the
-// keyspace so a pre-swap ETag never produces a stale 304. ReplicaSet
-// runs N Servers over one verified directory with coordinated hot-swap
-// — all replicas verify a candidate before any swaps, one rejection
-// vetoes fleet-wide — fronted by a least-inflight Proxy that retries
-// shed responses with internal/backoff, honouring Retry-After.
+// keyspace so a pre-swap ETag never produces a stale 304.
 package serve

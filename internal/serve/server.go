@@ -9,7 +9,6 @@ import (
 	"net"
 	"net/http"
 	"path"
-	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
@@ -34,8 +33,6 @@ type Config struct {
 	// RetryAfter is the backoff hint attached to shed responses
 	// (default 1s).
 	RetryAfter time.Duration
-	// MaxBodyBytes caps request bodies (default 1 MiB).
-	MaxBodyBytes int64
 	// ReloadPoll makes the daemon watch DataDir's manifest and hot-swap
 	// when it changes (0 = manual reloads only). No fsnotify: a plain
 	// fingerprint poll works on every filesystem a run can write to.
@@ -63,6 +60,10 @@ type Config struct {
 	AdminSecret []byte
 }
 
+// maxBodyBytes caps the admin plane's request bodies: the reload body and
+// what the admin authenticator reads to check a signature.
+const maxBodyBytes = 1 << 20
+
 func (c Config) withDefaults() Config {
 	if c.MaxInflight <= 0 {
 		c.MaxInflight = 64
@@ -80,9 +81,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 1 << 20
 	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 10 * time.Second
@@ -105,8 +103,7 @@ type Server struct {
 	cache   *Cache
 	handler http.Handler
 
-	httpSrv  *http.Server
-	listener net.Listener
+	httpSrv *http.Server
 
 	panics atomic.Uint64
 
@@ -142,7 +139,7 @@ func NewServer(cfg Config) *Server {
 	return s
 }
 
-// CacheStats exposes the response-cache counters (benchmarks, replicas).
+// CacheStats exposes the response-cache counters (tests, benchmarks).
 func (s *Server) CacheStats() CacheStats { return s.cache.Stats() }
 
 // Store exposes the snapshot store (reload triggers, status).
@@ -178,7 +175,7 @@ func (s *Server) buildHandler() http.Handler {
 	var reload http.Handler = http.HandlerFunc(s.handleReload)
 	if len(s.cfg.AdminSecret) > 0 {
 		auth := NewAuthenticator(s.cfg.AdminSecret, 0)
-		reload = auth.Middleware(s.cfg.MaxBodyBytes, reload)
+		reload = auth.Middleware(maxBodyBytes, reload)
 	}
 	mux.Handle("POST /admin/reload", reload)
 
@@ -223,7 +220,6 @@ func Recover(next http.Handler, onPanic func()) http.Handler {
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(http.StatusInternalServerError)
 			fmt.Fprintf(w, `{"error":"Internal Server Error","reason":%q}`+"\n", fmt.Sprint(rec))
-			_ = debug.Stack // keep the import honest if the log line below changes
 		}()
 		next.ServeHTTP(w, r)
 	})
@@ -232,9 +228,8 @@ func Recover(next http.Handler, onPanic func()) http.Handler {
 // --- handlers ---
 
 // FingerprintHeader tags every snapshot-derived response with the manifest
-// fingerprint of the snapshot that produced it. The replica proxy and the
-// reload-under-load chaos suite use it to prove no response ever mixes
-// data from two snapshots.
+// fingerprint of the snapshot that produced it. The reload-under-load chaos
+// suite uses it to prove no response ever mixes data from two snapshots.
 const FingerprintHeader = "X-Pbslab-Fingerprint"
 
 var jsonBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
@@ -551,10 +546,10 @@ func (s *Server) handleDay(w http.ResponseWriter, r *http.Request) {
 // ?dir= wins, then a JSON body {"dir": "..."}, else the configured default.
 // An empty or non-JSON body means "default dir"; a too-large or drip-fed
 // body is bounded by MaxBytesReader + the request timeout.
-func reloadDir(w http.ResponseWriter, r *http.Request, maxBody int64, def string) string {
+func reloadDir(w http.ResponseWriter, r *http.Request, def string) string {
 	dir := r.URL.Query().Get("dir")
 	if dir == "" && r.Body != nil {
-		r.Body = http.MaxBytesReader(w, r.Body, maxBody)
+		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 		var body struct {
 			Dir string `json:"dir"`
 		}
@@ -573,7 +568,7 @@ func reloadDir(w http.ResponseWriter, r *http.Request, maxBody int64, def string
 // {"dir": "..."} selects another. Rejection leaves the old snapshot
 // serving and answers 422 with the verification failure.
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
-	dir := reloadDir(w, r, s.cfg.MaxBodyBytes, s.cfg.DataDir)
+	dir := reloadDir(w, r, s.cfg.DataDir)
 	snap, err := s.store.Reload(r.Context(), dir)
 	if err != nil {
 		writeJSON(w, http.StatusUnprocessableEntity, map[string]any{
@@ -599,7 +594,6 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 // header reads, whole-request reads and response writes all carry
 // deadlines derived from the request timeout.
 func (s *Server) Serve(l net.Listener) error {
-	s.listener = l
 	s.httpSrv = &http.Server{
 		Handler:           s.handler,
 		ReadHeaderTimeout: s.cfg.RequestTimeout,

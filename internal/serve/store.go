@@ -20,7 +20,7 @@ import (
 type Store struct {
 	cur atomic.Pointer[Snapshot]
 
-	reloadMu sync.Mutex // serializes whole Reload sequences (prepare+commit)
+	reloadMu sync.Mutex // serializes reloads, so two cannot swap out of order
 
 	mu          sync.Mutex // guards the fields below
 	gen         uint64
@@ -30,8 +30,8 @@ type Store struct {
 	swaps       uint64 // successful reloads, including the initial load
 	rejects     uint64
 
-	// onSwap is invoked after every successful commit with the snapshot
-	// just installed; the server uses it to purge the response cache.
+	// onSwap is invoked after every successful swap with the snapshot just
+	// installed; the server uses it to purge the response cache.
 	onSwap func(*Snapshot)
 
 	loadOpts LoadOptions
@@ -50,42 +50,31 @@ func (st *Store) Current() *Snapshot {
 	return st.cur.Load()
 }
 
-// SetOnSwap registers a hook called after every successful commit with the
+// SetOnSwap registers a hook called after every successful swap with the
 // newly installed snapshot. Must be set before the store starts serving.
 func (st *Store) SetOnSwap(fn func(*Snapshot)) { st.onSwap = fn }
 
 // Reload loads dir as a candidate snapshot and, only if every verification
 // rung passes, atomically swaps it in. On rejection the previous snapshot
-// keeps serving and the failure is recorded for /readyz and /api/v1/meta.
+// keeps serving and the failure is recorded for /readyz and /api/v1/stats;
+// the candidate's fingerprint is remembered so the poller does not
+// re-verify it every tick.
 func (st *Store) Reload(ctx context.Context, dir string) (*Snapshot, error) {
 	st.reloadMu.Lock()
 	defer st.reloadMu.Unlock()
 
-	snap, err := st.Prepare(ctx, dir)
-	if err != nil {
-		return nil, err
-	}
-	return st.Commit(snap), nil
-}
-
-// Prepare runs the full verification ladder against dir and returns the
-// candidate snapshot without installing it. A failure is recorded as a
-// rejection (degrading /readyz) exactly like a failed Reload. Prepare and
-// Commit exist separately so a replica set can run a coordinated swap:
-// every replica prepares (verifies) the candidate, and only if all of them
-// succeed does any of them commit.
-func (st *Store) Prepare(ctx context.Context, dir string) (*Snapshot, error) {
 	snap, err := Load(ctx, dir, st.loadOpts)
 	if err != nil {
-		st.Reject(dir, err)
+		sum := manifestFingerprint(dir)
+		st.mu.Lock()
+		st.rejects++
+		st.lastErr = err
+		st.lastErrDir = dir
+		st.rejectedSum = sum
+		st.mu.Unlock()
 		return nil, err
 	}
-	return snap, nil
-}
 
-// Commit atomically installs a prepared snapshot, assigns its generation,
-// clears any recorded degradation, and fires the swap hook.
-func (st *Store) Commit(snap *Snapshot) *Snapshot {
 	st.mu.Lock()
 	st.gen++
 	snap.Generation = st.gen
@@ -99,24 +88,10 @@ func (st *Store) Commit(snap *Snapshot) *Snapshot {
 	if onSwap != nil {
 		onSwap(snap)
 	}
-	return snap
+	return snap, nil
 }
 
-// Reject records a failed candidate without touching the served snapshot:
-// readiness degrades, and the candidate's fingerprint is remembered so the
-// poller does not re-verify it every tick. Used both by Prepare and by a
-// replica set recording a peer's rejection on replicas whose own
-// verification passed.
-func (st *Store) Reject(dir string, err error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.rejects++
-	st.lastErr = err
-	st.lastErrDir = dir
-	st.rejectedSum = manifestFingerprint(dir)
-}
-
-// Status is the store's health summary, surfaced by /readyz and /api/v1/meta.
+// Status is the store's health summary, surfaced by /readyz and /api/v1/stats.
 type Status struct {
 	// Serving is true once any snapshot has been installed.
 	Serving bool `json:"serving"`

@@ -4,8 +4,10 @@
 // corresponding analysis over a shared simulated corpus and reports the
 // headline metrics the paper's artifact shows, via b.ReportMetric. The
 // expensive part — simulating the full measurement window — runs once and
-// is shared; the measured body is the analysis computation itself, so
-// `go test -bench` doubles as a performance check of the pipeline.
+// is shared; the measured body is the analysis computation itself. The
+// reported values are the paper's claims; perfbench (perfbench/README.md)
+// times the pipeline end to end, and the two Engine benchmarks at the end
+// are the render-only timing it does not split out.
 //
 // Environment knobs:
 //
@@ -623,8 +625,8 @@ func BenchmarkExtensionInclusionDelay(b *testing.B) {
 // The engine splits analysis into a build stage (classify every block, then
 // one fused index pass — EngineIndexBuild) and a render stage (regenerate
 // all 19 artifacts from the built analysis — EngineRegenIndexed, with
-// construction excluded from the timer). derived.index_build_share_of_regen
-// in BENCH_pr2.json is build ns/op ÷ render ns/op.
+// construction excluded from the timer). The build's share of a
+// regeneration is the first's ns/op over the second's.
 
 // BenchmarkEngineRegenIndexed renders every artifact (19 figure CSVs plus
 // tables.txt) from the single-pass index through the bounded worker pool. WithoutMemo keeps the

@@ -37,9 +37,8 @@
 // over real HTTP; cmd/pbslabd serves a verified output directory;
 // cmd/pbsfleet runs experiment grids. The examples directory holds runnable
 // walkthroughs, bench_test.go regenerates each of the paper's tables and
-// figures as a benchmark target, `make bench` records the engine's
-// performance baseline as BENCH_pr2.json, and `make bench-scale` records
-// the out-of-core scale contract as BENCH_pr7.json. See DESIGN.md for the
-// full system inventory (§6 for the engine, §11 for corpus scale) and
-// EXPERIMENTS.md for paper-vs-measured results and the performance tables.
+// figures as a benchmark target, and perfbench/ times the pipeline from
+// seed to verified artifacts. See DESIGN.md for the full system inventory
+// (§6 for the engine, §11 for corpus scale) and EXPERIMENTS.md for
+// paper-vs-measured results.
 package pbslab

@@ -235,6 +235,51 @@ func TestFleetAgentChaosConverges(t *testing.T) {
 	assertSameTree(t, want, readTree(t, filepath.Join(dir, fleet.MergedDirName)))
 }
 
+// TestFleetStaticAgentsOnly drives the `pbsfleet -workers 0 -agents` path:
+// Options.Agents names one live agent and Workers is 0, so the coordinator
+// builds the agent's transport itself and no local pool. Every cell must
+// complete on the agent and merge byte-identical to a local run.
+func TestFleetStaticAgentsOnly(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-host run")
+	}
+	g := chaosGrid("static-agents", false, 41)
+
+	refDir := t.TempDir()
+	refOpts := chaosOpts(t)
+	refOpts.Workers = 2
+	runFleet(t, refDir, g, refOpts, false)
+	want := readTree(t, filepath.Join(refDir, fleet.MergedDirName))
+
+	ag := startLiveAgent(t, "127.0.0.1:0", 2)
+	opts := chaosOpts(t)
+	opts.Workers = 0
+	opts.Agents = []fleet.AgentSpec{{Addr: ag.addr, Capacity: 2}}
+	dir := t.TempDir()
+	sum := runFleet(t, dir, g, opts, false)
+	if sum.Completed != sum.Cells || len(sum.Quarantined) != 0 {
+		t.Fatalf("agents-only run completed %d/%d cells, quarantined %+v", sum.Completed, sum.Cells, sum.Quarantined)
+	}
+	recs, err := fleet.ReplayJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leases := 0
+	for _, rec := range recs {
+		if rec.Event != fleet.EventLease {
+			continue
+		}
+		leases++
+		if rec.Agent != ag.addr {
+			t.Errorf("cell %s leased to transport %q, want the agent %s", rec.Cell, rec.Transport, ag.addr)
+		}
+	}
+	if leases < sum.Cells {
+		t.Fatalf("%d leases journaled for %d cells", leases, sum.Cells)
+	}
+	assertSameTree(t, want, readTree(t, filepath.Join(dir, fleet.MergedDirName)))
+}
+
 // TestFleetStragglerRescueIdempotent: every cell's first attempt is
 // alive-but-slow, so every cell is double-dispatched; the first verified
 // result wins, the loser is superseded without charge, and the outcome is

@@ -113,21 +113,9 @@ func (c *Config) Simulate(ctx context.Context, onDay func(day int)) (*sim.Result
 	})
 }
 
-// Analyze runs the analysis engine over a finished simulation with the
-// configured worker pool.
-func (c *Config) Analyze(res *sim.Result) *core.Analysis {
-	a, err := c.AnalyzeContext(context.Background(), res)
-	if err != nil {
-		// Only reachable through a worker panic, which NewWithContext has
-		// already converted to an error naming the shard.
-		panic(err)
-	}
-	return a
-}
-
-// AnalyzeContext is Analyze under a context: cancellation stops the
-// analysis pools early and a worker panic comes back as an error instead of
-// killing the process.
+// AnalyzeContext runs the analysis engine over a finished simulation with
+// the configured worker pool. Cancellation stops the analysis pools early
+// and a worker panic comes back as an error instead of killing the process.
 func (c *Config) AnalyzeContext(ctx context.Context, res *sim.Result) (*core.Analysis, error) {
 	opts := []core.Option{core.WithBuilderLabels(res.World.BuilderLabels())}
 	if c.Workers > 0 {

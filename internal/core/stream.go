@@ -163,10 +163,11 @@ func stripBlock(b *dataset.Block) *dataset.Block {
 }
 
 // ValidateStream checks the invariants of Validate over a streamed corpus,
-// holding at most one day of blocks plus header-level maps. One report
-// detail degrades: a mislabeled MEV transaction is reported as "not in
-// block N" without naming the block that does contain it — the global
-// transaction map Validate consults is exactly what out-of-core rules out.
+// holding at most one day of blocks plus header-level maps. Violations come
+// out in chain order, then labels of unknown blocks, then relay traces. A
+// mislabeled MEV transaction is reported as "not in block N" without naming
+// the block that does contain it: that would take a corpus-wide
+// transaction map, which is what out-of-core rules out.
 func ValidateStream(src DaySource) (ValidationReport, error) {
 	common, _, err := src.Common()
 	if err != nil {

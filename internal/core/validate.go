@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"github.com/ethpbs/pbslab/internal/dataset"
 	"github.com/ethpbs/pbslab/internal/types"
@@ -93,76 +92,9 @@ func (r ValidationReport) Render(w io.Writer) {
 // MEV-label referential integrity, and relay delivered-trace consistency.
 // It reads only dataset types — like the rest of the pipeline it never
 // sees simulator ground truth — so it applies equally to a crawled corpus.
+// It is ValidateStream over the in-memory dataset served as one batch.
 func Validate(ds *dataset.Dataset) ValidationReport {
-	var rep ValidationReport
-	quarantine := map[uint64]bool{}
-	flag := func(kind string, block uint64, format string, args ...any) {
-		rep.Violations = append(rep.Violations, Violation{
-			Kind: kind, Block: block, Detail: fmt.Sprintf(format, args...),
-		})
-		if block != 0 {
-			quarantine[block] = true
-		}
-	}
-
-	byNum := make(map[uint64]*dataset.Block, len(ds.Blocks))
-	byHash := make(map[types.Hash]uint64, len(ds.Blocks))
-	txBlock := map[types.Hash]uint64{}
-	for i, b := range ds.Blocks {
-		byNum[b.Number] = b
-		byHash[b.Hash] = b.Number
-		for _, tx := range b.Txs {
-			txBlock[tx.Hash()] = b.Number
-		}
-
-		// Chain order: contiguous numbers, strictly increasing slots and
-		// timestamps.
-		if i > 0 {
-			prev := ds.Blocks[i-1]
-			if b.Number != prev.Number+1 {
-				flag(VioOrder, b.Number, "number %d follows %d (want %d)", b.Number, prev.Number, prev.Number+1)
-			}
-			if b.Slot <= prev.Slot {
-				flag(VioOrder, b.Number, "slot %d not after %d", b.Slot, prev.Slot)
-			}
-			if !b.Time.After(prev.Time) {
-				flag(VioOrder, b.Number, "timestamp %s not after %s", b.Time, prev.Time)
-			}
-		}
-
-		// Window alignment: every block lies inside [Start, End] and on a
-		// non-negative day index.
-		if b.Time.Before(ds.Start) || b.Time.After(ds.End) {
-			flag(VioWindow, b.Number, "timestamp %s outside window [%s, %s]",
-				b.Time, ds.Start, ds.End)
-		}
-
-		validateConservation(b, flag)
-	}
-
-	// MEV labels must reference existing blocks and transactions within
-	// them.
-	for _, l := range ds.MEVLabels {
-		if _, ok := byNum[l.Block]; !ok {
-			flag(VioLabel, l.Block, "%s label references unknown block", l.Kind)
-			continue
-		}
-		for _, h := range l.Txs {
-			if got, ok := txBlock[h]; !ok {
-				flag(VioLabel, l.Block, "%s label tx %s not in corpus", l.Kind, h)
-			} else if got != l.Block {
-				flag(VioLabel, l.Block, "%s label tx %s is in block %d", l.Kind, h, got)
-			}
-		}
-	}
-
-	checkDelivered(&rep, ds.Relays, byHash, flag)
-
-	rep.Quarantined = make([]uint64, 0, len(quarantine))
-	for n := range quarantine {
-		rep.Quarantined = append(rep.Quarantined, n)
-	}
-	sort.Slice(rep.Quarantined, func(i, j int) bool { return rep.Quarantined[i] < rep.Quarantined[j] })
+	rep, _ := ValidateStream(memSource{ds}) // memSource never fails
 	return rep
 }
 

@@ -193,11 +193,5 @@ func (e *Engine) execute(env *Env, tx *types.Transaction, call Call) error {
 	}
 }
 
-// ValueFlow reports the amounts the measurement pipeline derives from a
-// result: the tip is the priority fee, and traces carry direct transfers.
-func (r *Result) ValueFlow() (burned, tip types.Wei) {
-	return r.Burned, r.Tip
-}
-
 // ZeroWei is a convenience for callers constructing contexts.
 var ZeroWei = u256.Zero

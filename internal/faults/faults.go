@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -149,18 +148,6 @@ func (s *Stats) For(relay string) Counters {
 		return *c
 	}
 	return Counters{}
-}
-
-// Relays lists every relay with recorded counters, sorted.
-func (s *Stats) Relays() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.counts))
-	for name := range s.counts {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Action is one request's fault decision. The zero Action passes the

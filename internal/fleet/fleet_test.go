@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
@@ -482,6 +483,29 @@ func TestFleetResumeByteIdenticalAfterKill(t *testing.T) {
 		} else if got != want {
 			t.Errorf("merged file %s differs between resumed and uninterrupted runs", name)
 		}
+	}
+
+	// Resuming the now finished run leases nothing and leaves the merged
+	// corpus as it was.
+	leases := func() int {
+		n := 0
+		for _, rec := range journalEvents(t, dir) {
+			if rec.Event == EventLease {
+				n++
+			}
+		}
+		return n
+	}
+	before := leases()
+	sum = runFleet(t, dir, g, testOpts(t), true)
+	if sum.Completed != sum.Cells {
+		t.Fatalf("resume of a finished run: %d/%d completed", sum.Completed, sum.Cells)
+	}
+	if after := leases(); after != before {
+		t.Errorf("resume of a finished run journaled %d new leases", after-before)
+	}
+	if !maps.Equal(readTree(t, filepath.Join(dir, MergedDirName)), gotMerged) {
+		t.Error("resume of a finished run changed the merged corpus")
 	}
 }
 

@@ -69,7 +69,7 @@ func NewRegistry(auth *serve.Authenticator, heartbeatEvery time.Duration) *Regis
 	mux.HandleFunc("POST "+RegistryPathDeregister, r.handleDeregister)
 	var h http.Handler = mux
 	if auth != nil {
-		h = auth.Middleware(1<<20, h)
+		h = auth.Middleware(h)
 	}
 	r.handler = serve.Recover(h, nil)
 	return r

@@ -145,11 +145,6 @@ func (b *Breaker) Success(relayName string) {
 	}
 }
 
-// Open reports whether the relay's circuit is currently open.
-func (b *Breaker) Open(relayName string, at time.Time) bool {
-	return !b.Allow(relayName, at)
-}
-
 // BreakerState is one relay's serializable circuit state.
 type BreakerState struct {
 	Fails     int

@@ -29,7 +29,7 @@ func (st *CrawlState) Save(path string) error {
 }
 
 // LoadCrawlState reads a checkpoint written by Save and rebuilds the dedup
-// index, ready for ResumeDelivered/ResumeReceived to continue from it.
+// index, ready for ResumeDelivered to continue from it.
 func LoadCrawlState(path string) (*CrawlState, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

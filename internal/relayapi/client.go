@@ -504,11 +504,6 @@ func (c *Client) ResumeDelivered(ctx context.Context, pageSize int, st *CrawlSta
 	return c.crawlFrom(ctx, PathDelivered, pageSize, st)
 }
 
-// ResumeReceived continues (or starts) a received crawl from a checkpoint.
-func (c *Client) ResumeReceived(ctx context.Context, pageSize int, st *CrawlState) error {
-	return c.crawlFrom(ctx, PathReceived, pageSize, st)
-}
-
 // CrawlDelivered walks the delivered endpoint to exhaustion.
 func (c *Client) CrawlDelivered(ctx context.Context, pageSize int) ([]pbs.BidTrace, error) {
 	st := NewCrawlState()

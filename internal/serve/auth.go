@@ -191,20 +191,17 @@ func (a *Authenticator) verify(method, path, query string, h http.Header, bodySu
 }
 
 // Middleware wraps next so only authenticated requests reach it. The body
-// (bounded by maxBody; <= 0 means 1 MiB) is read once to digest it and
-// handed to next as an in-memory reader — handlers downstream see a normal
-// request. Rejections answer 401 with AuthErrorHeader naming the cause;
-// retryable causes invite the caller to re-sign, terminal ones tell the
-// coordinator to stop dispatching to a misconfigured peer.
-func (a *Authenticator) Middleware(maxBody int64, next http.Handler) http.Handler {
-	if maxBody <= 0 {
-		maxBody = 1 << 20
-	}
+// (at most maxBodyBytes; a longer one answers 413) is read once to digest it
+// and handed to next as an in-memory reader — handlers downstream see a
+// normal request. Rejections answer 401 with AuthErrorHeader naming the
+// cause; retryable causes invite the caller to re-sign, terminal ones tell
+// the coordinator to stop dispatching to a misconfigured peer.
+func (a *Authenticator) Middleware(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		var body []byte
 		if r.Body != nil && r.Body != http.NoBody {
 			var err error
-			body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
+			body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 			if err != nil {
 				var tooLarge *http.MaxBytesError
 				if errors.As(err, &tooLarge) {

@@ -40,7 +40,7 @@ func TestAuthRoundTrip(t *testing.T) {
 	a := NewAuthenticator([]byte("s3cret"), time.Minute)
 	var ran int
 	var got string
-	h := a.Middleware(0, echoBody(&ran, &got))
+	h := a.Middleware(echoBody(&ran, &got))
 
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, signedRequest(t, a, "POST", "/api/v1/run?x=1", []byte(`{"cell":3}`)))
@@ -50,13 +50,20 @@ func TestAuthRoundTrip(t *testing.T) {
 	if ran != 1 || got != `{"cell":3}` {
 		t.Fatalf("handler ran=%d body=%q; want 1, original body", ran, got)
 	}
+
+	// A signed body one byte over the cap is refused before next runs.
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, signedRequest(t, a, "POST", "/api/v1/run", make([]byte, maxBodyBytes+1)))
+	if rec.Code != http.StatusRequestEntityTooLarge || ran != 1 {
+		t.Fatalf("oversized body: status %d, handler ran %d times; want 413, 1", rec.Code, ran)
+	}
 }
 
 func TestAuthRejectsMissingAndWrongSecret(t *testing.T) {
 	a := NewAuthenticator([]byte("s3cret"), time.Minute)
 	var ran int
 	var got string
-	h := a.Middleware(0, echoBody(&ran, &got))
+	h := a.Middleware(echoBody(&ran, &got))
 
 	// No headers at all.
 	rec := httptest.NewRecorder()
@@ -84,7 +91,7 @@ func TestAuthRejectsTamper(t *testing.T) {
 	a := NewAuthenticator([]byte("s3cret"), time.Minute)
 	var ran int
 	var got string
-	h := a.Middleware(0, echoBody(&ran, &got))
+	h := a.Middleware(echoBody(&ran, &got))
 
 	// Body swapped after signing.
 	r := signedRequest(t, a, "POST", "/api/v1/run", []byte(`{"cell":3}`))
@@ -112,7 +119,7 @@ func TestAuthReplayAndResign(t *testing.T) {
 	a := NewAuthenticator([]byte("s3cret"), time.Minute)
 	var ran int
 	var got string
-	h := a.Middleware(0, echoBody(&ran, &got))
+	h := a.Middleware(echoBody(&ran, &got))
 
 	r := signedRequest(t, a, "POST", "/api/v1/run", []byte(`{"cell":1}`))
 	rec := httptest.NewRecorder()
@@ -152,7 +159,7 @@ func TestAuthStaleTimestamp(t *testing.T) {
 	server.now = func() time.Time { return time.Now().Add(time.Hour) }
 	var ran int
 	var got string
-	h := server.Middleware(0, echoBody(&ran, &got))
+	h := server.Middleware(echoBody(&ran, &got))
 
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, signedRequest(t, client, "GET", "/api/v1/status", nil))
@@ -173,7 +180,7 @@ func TestAuthNonceCachePrunes(t *testing.T) {
 	a.now = func() time.Time { return cur }
 	var ran int
 	var got string
-	h := a.Middleware(0, echoBody(&ran, &got))
+	h := a.Middleware(echoBody(&ran, &got))
 	for i := 0; i < 8; i++ {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, signedRequest(t, a, "GET", "/api/v1/status", nil))

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -464,6 +465,40 @@ func TestServeReloadRejectsCorruptDirKeepsServing(t *testing.T) {
 	}
 	if status := getJSON(t, ts.URL+"/readyz", &ready); status != http.StatusOK || !ready.Ready {
 		t.Fatal("readiness did not recover after a good reload")
+	}
+}
+
+// TestServeReloadCancelledIsNotRejection: a reload whose caller gave up
+// (client hang-up, expired request timeout) never judged the directory, so
+// it must neither degrade readiness nor mark the manifest rejected for the
+// poller, and a live reload afterwards swaps the directory in.
+func TestServeReloadCancelledIsNotRejection(t *testing.T) {
+	dir := t.TempDir()
+	buildDataDir(t, dir)
+	st := NewStore(LoadOptions{})
+
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	expired, cancelExpired := context.WithDeadline(context.Background(), time.Unix(0, 0))
+	defer cancelExpired()
+	for _, ctx := range []context.Context{cancelled, expired} {
+		if _, err := st.Reload(ctx, dir); !errors.Is(err, ctx.Err()) {
+			t.Fatalf("Reload = %v, want an error wrapping %v", err, ctx.Err())
+		}
+		if s := st.Status(); s.Degraded || s.Rejects != 0 {
+			t.Fatalf("%v reload recorded as a rejection: %+v", ctx.Err(), s)
+		}
+		if !st.ShouldPoll(dir) {
+			t.Fatalf("%v reload marked the manifest rejected", ctx.Err())
+		}
+	}
+
+	snap, err := st.Reload(context.Background(), dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Current() != snap || snap.Generation != 1 {
+		t.Fatalf("live reload did not swap in: current %p, snap %p, generation %d", st.Current(), snap, snap.Generation)
 	}
 }
 

@@ -60,8 +60,8 @@ type Config struct {
 	AdminSecret []byte
 }
 
-// maxBodyBytes caps the admin plane's request bodies: the reload body and
-// what the admin authenticator reads to check a signature.
+// maxBodyBytes caps the admin plane's request bodies and every body an
+// Authenticator's middleware reads to check a signature.
 const maxBodyBytes = 1 << 20
 
 func (c Config) withDefaults() Config {
@@ -175,7 +175,7 @@ func (s *Server) buildHandler() http.Handler {
 	var reload http.Handler = http.HandlerFunc(s.handleReload)
 	if len(s.cfg.AdminSecret) > 0 {
 		auth := NewAuthenticator(s.cfg.AdminSecret, 0)
-		reload = auth.Middleware(maxBodyBytes, reload)
+		reload = auth.Middleware(reload)
 	}
 	mux.Handle("POST /admin/reload", reload)
 

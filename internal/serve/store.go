@@ -58,13 +58,18 @@ func (st *Store) SetOnSwap(fn func(*Snapshot)) { st.onSwap = fn }
 // rung passes, atomically swaps it in. On rejection the previous snapshot
 // keeps serving and the failure is recorded for /readyz and /api/v1/stats;
 // the candidate's fingerprint is remembered so the poller does not
-// re-verify it every tick.
+// re-verify it every tick. A load cut short because ctx ended (a client
+// hang-up, a request timeout) judged nothing, so it is returned without
+// being recorded.
 func (st *Store) Reload(ctx context.Context, dir string) (*Snapshot, error) {
 	st.reloadMu.Lock()
 	defer st.reloadMu.Unlock()
 
 	snap, err := Load(ctx, dir, st.loadOpts)
 	if err != nil {
+		if ctx.Err() != nil {
+			return nil, err
+		}
 		sum := manifestFingerprint(dir)
 		st.mu.Lock()
 		st.rejects++

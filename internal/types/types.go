@@ -248,9 +248,6 @@ func (b *Block) Hash() Hash { return b.hash }
 // Number returns the block height.
 func (b *Block) Number() uint64 { return b.Header.Number }
 
-// GasUsed returns the total gas consumed by the block.
-func (b *Block) GasUsed() uint64 { return b.Header.GasUsed }
-
 // Bundle is a searcher's atomic transaction sequence, submitted to builders
 // through private order flow. Builders must include the transactions
 // contiguously and in order, or not at all.

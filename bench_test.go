@@ -628,9 +628,9 @@ func BenchmarkExtensionInclusionDelay(b *testing.B) {
 // construction excluded from the timer). The build's share of a
 // regeneration is the first's ns/op over the second's.
 
-// BenchmarkEngineRegenIndexed renders every artifact (19 figure CSVs plus
-// tables.txt) from the single-pass index through the bounded worker pool. WithoutMemo keeps the
-// per-iteration work honest: every iteration recomputes each artifact from
+// BenchmarkEngineRegenIndexed renders every artifact (18 figure CSVs plus
+// tables.txt) from the single-pass index through the bounded worker pool.
+// WithoutMemo keeps the per-iteration work honest: every iteration recomputes each artifact from
 // the index rather than returning a cached result.
 func BenchmarkEngineRegenIndexed(b *testing.B) {
 	_, res := fixture(b)
@@ -640,7 +640,7 @@ func BenchmarkEngineRegenIndexed(b *testing.B) {
 	b.ResetTimer()
 	var arts []artifacts.Artifact
 	for i := 0; i < b.N; i++ {
-		arts = artifacts.RenderAll(a, a.Workers())
+		arts = artifacts.RenderAll(context.Background(), a, a.Workers())
 	}
 	report(b, "artifacts", float64(len(arts)))
 }

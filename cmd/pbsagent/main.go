@@ -130,7 +130,7 @@ func run() int {
 		}
 		var auth *serve.Authenticator
 		if len(secret) > 0 {
-			auth = serve.NewAuthenticator(secret, 0)
+			auth = serve.NewAuthenticator(secret)
 		}
 		rg = &agent.Registrar{
 			Coordinator: *register,

@@ -124,7 +124,7 @@ func run() int {
 	if *listenReg != "" {
 		var auth *serve.Authenticator
 		if len(opts.Secret) > 0 {
-			auth = serve.NewAuthenticator(opts.Secret, 0)
+			auth = serve.NewAuthenticator(opts.Secret)
 		} else if !cli.LoopbackAddr(*listenReg) {
 			fmt.Fprintf(os.Stderr, "pbsfleet: refusing to serve the registration endpoint on %s without -secret-file: anyone who can reach the port could join the fleet and receive work\n", *listenReg)
 			return 2

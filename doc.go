@@ -32,8 +32,8 @@
 //	internal/faults   seeded fault injection: HTTP, disk, subprocess
 //	internal/stats    parallel descriptive statistics
 //
-// Entry points: cmd/pbslab runs the study end-to-end; cmd/figures emits
-// every figure as CSV; cmd/relaycrawl demonstrates the relay data-API crawl
+// Entry points: cmd/pbslab runs the study end-to-end (-figures DIR writes
+// every figure as CSV); cmd/relaycrawl demonstrates the relay data-API crawl
 // over real HTTP; cmd/pbslabd serves a verified output directory;
 // cmd/pbsfleet runs experiment grids. The examples directory holds runnable
 // walkthroughs, bench_test.go regenerates each of the paper's tables and

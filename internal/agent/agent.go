@@ -222,7 +222,7 @@ func New(cfg Config) (*Agent, error) {
 	if len(cfg.Secret) > 0 {
 		// Every API request must carry a valid fleet signature; only the
 		// liveness probe stays open.
-		apiH = serve.NewAuthenticator(cfg.Secret, 0).Middleware(apiH)
+		apiH = serve.NewAuthenticator(cfg.Secret).Middleware(apiH)
 		a.redact = func(s string) string { return serve.RedactSecret(s, cfg.Secret) }
 	}
 	mux := http.NewServeMux()

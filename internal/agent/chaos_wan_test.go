@@ -235,7 +235,7 @@ func TestFleetDynamicRegistrationEndToEnd(t *testing.T) {
 		t.Skip("multi-host registration run")
 	}
 	secret := []byte("dyn-reg-secret")
-	reg := fleet.NewRegistry(serve.NewAuthenticator(secret, 0), 100*time.Millisecond)
+	reg := fleet.NewRegistry(serve.NewAuthenticator(secret), 100*time.Millisecond)
 	regSrv := httptest.NewServer(reg)
 	t.Cleanup(regSrv.Close)
 
@@ -243,7 +243,7 @@ func TestFleetDynamicRegistrationEndToEnd(t *testing.T) {
 	rg := &Registrar{
 		Coordinator: regSrv.URL,
 		Self:        fleet.RegisterRequest{Addr: la.addr, Capacity: 2, Version: "test"},
-		Auth:        serve.NewAuthenticator(secret, 0),
+		Auth:        serve.NewAuthenticator(secret),
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	regDone := make(chan struct{})
@@ -469,7 +469,7 @@ func TestAgentAuthRejectsUnsignedAndScrubsReplies(t *testing.T) {
 		t.Skip("subprocess agent run")
 	}
 	secret := []byte("agent-scrub-secret")
-	auth := serve.NewAuthenticator(secret, 0)
+	auth := serve.NewAuthenticator(secret)
 	la := startWANAgent(t, "127.0.0.1:0", 2, secret, nil)
 	cell := tinyCells(t, "scrub", 19)[0]
 
@@ -497,7 +497,7 @@ func TestAgentAuthRejectsUnsignedAndScrubsReplies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := auth.SignRequest(req, body); err != nil {
+	if err := auth.Sign(req, body); err != nil {
 		t.Fatal(err)
 	}
 	signed, err := http.DefaultClient.Do(req)

@@ -1,10 +1,10 @@
 // Scenario knobs: the grid axes the fleet sweeps (relay outages, OFAC
 // blacklist schedules, private-flow share, builder populations) expressed
-// as validated string/number settings. Both the single-run CLIs
-// (cmd/pbslab, cmd/figures) and the fleet worker apply knobs through this
-// one code path, so "settable from the CLI" and "settable from a grid
-// cell" can never drift apart — and a bad value is a validation error
-// before the simulation starts, never a silently ignored default.
+// as validated string/number settings. The single-run CLI (cmd/pbslab) and
+// the fleet worker apply knobs through this one code path, so "settable
+// from the CLI" and "settable from a grid cell" can never drift apart —
+// and a bad value is a validation error before the simulation starts,
+// never a silently ignored default.
 package cli
 
 import (

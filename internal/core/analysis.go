@@ -16,8 +16,8 @@
 // their headers, and finally fills a per-day Index (stats.DayAgg
 // aggregates, per-cluster samples, coverage counters) in one sharded
 // pass. Every public figure/table method answers from the index and
-// memoizes its result, so PrintAll + WriteAll compute each artifact
-// exactly once. Output is byte-identical for any worker count and either
+// memoizes its result, so the text report and the figure CSVs (DayFigures)
+// compute each artifact exactly once. Output is byte-identical for any worker count and either
 // corpus source — shards cut at day boundaries and merge in chain order,
 // so every floating-point reduction associates exactly as a one-worker
 // pass. The golden tests pin the rendered bytes to committed digests

@@ -63,7 +63,7 @@ func checkRenderDigest(t *testing.T, seed uint64, input string, a *core.Analysis
 		t.Fatalf("%s: %v", digestFile, err)
 	}
 	var listing strings.Builder
-	for _, art := range report.RenderAll(a, workers) {
+	for _, art := range report.RenderAll(context.Background(), a, workers) {
 		if art.Err != nil {
 			t.Fatalf("%s: render %s: %v", input, art.Name, art.Err)
 		}
@@ -134,14 +134,14 @@ func TestEngineRace(t *testing.T) {
 		}()
 	}
 	// Render concurrently with the direct calls above.
-	arts := report.RenderAll(a, 8)
+	arts := report.RenderAll(context.Background(), a, 8)
 	wg.Wait()
 
 	if len(arts) == 0 {
 		t.Fatal("no artifacts rendered")
 	}
 	// A second render must reproduce the first bytes exactly (memo or not).
-	again := report.RenderAll(a, 3)
+	again := report.RenderAll(context.Background(), a, 3)
 	for i := range arts {
 		if !bytes.Equal(arts[i].Data, again[i].Data) {
 			t.Errorf("%s: repeated render differs", arts[i].Name)
@@ -156,8 +156,8 @@ func TestWithoutMemoMatchesMemoized(t *testing.T) {
 	memoized := core.New(res.Dataset, core.WithBuilderLabels(labels))
 	fresh := core.New(res.Dataset, core.WithBuilderLabels(labels), core.WithoutMemo())
 
-	w := report.RenderAll(memoized, 4)
-	g := report.RenderAll(fresh, 4)
+	w := report.RenderAll(context.Background(), memoized, 4)
+	g := report.RenderAll(context.Background(), fresh, 4)
 	for i := range w {
 		if !bytes.Equal(w[i].Data, g[i].Data) {
 			t.Errorf("%s: WithoutMemo render differs", w[i].Name)

@@ -172,8 +172,9 @@ func TestSummaryRenders(t *testing.T) {
 	RenderBuilderBoxes(&sb, a.Figures11And12BuilderBoxes(11))
 	RenderTable5(&sb, a.Clusters(), 17)
 	RenderCoverage(&sb, a.ClassifierCoverage())
-	RenderSeries(&sb, "fig4", a.Figure4PBSShare(), 1)
-	RenderMultiSeries(&sb, "fig5", a.Figure5RelayShares(), 1)
+	for _, f := range DayFigures {
+		f.WriteCSV(&sb, a)
+	}
 	if len(sb.String()) == 0 {
 		t.Error("renders produced nothing")
 	}

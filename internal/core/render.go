@@ -8,67 +8,7 @@ import (
 	"strings"
 
 	"github.com/ethpbs/pbslab/internal/mev"
-	"github.com/ethpbs/pbslab/internal/stats"
 )
-
-// RenderSeries writes a day-indexed series as "day,value" CSV rows, sampled
-// every step days (1 = all days).
-func RenderSeries(w io.Writer, name string, s stats.Series, step int) {
-	if step < 1 {
-		step = 1
-	}
-	fmt.Fprintf(w, "# %s\n", name)
-	for i := 0; i < s.Len(); i += step {
-		day := s.Start + i
-		v := s.Values[i]
-		if math.IsNaN(v) {
-			fmt.Fprintf(w, "%d,\n", day)
-			continue
-		}
-		fmt.Fprintf(w, "%d,%.6f\n", day, v)
-	}
-}
-
-// RenderMultiSeries writes several named series side by side as CSV.
-func RenderMultiSeries(w io.Writer, title string, series map[string]stats.Series, step int) {
-	if step < 1 {
-		step = 1
-	}
-	names := make([]string, 0, len(series))
-	for n := range series {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	fmt.Fprintf(w, "# %s\nday,%s\n", title, strings.Join(names, ","))
-
-	lo, hi := math.MaxInt32, -1
-	for _, s := range series {
-		if s.Len() == 0 {
-			continue
-		}
-		if s.Start < lo {
-			lo = s.Start
-		}
-		if end := s.Start + s.Len() - 1; end > hi {
-			hi = end
-		}
-	}
-	if hi < 0 {
-		return
-	}
-	for day := lo; day <= hi; day += step {
-		row := []string{fmt.Sprintf("%d", day)}
-		for _, n := range names {
-			v := series[n].Day(day)
-			if math.IsNaN(v) {
-				row = append(row, "")
-			} else {
-				row = append(row, fmt.Sprintf("%.6f", v))
-			}
-		}
-		fmt.Fprintln(w, strings.Join(row, ","))
-	}
-}
 
 // RenderTable4 prints the relay trust audit in the paper's column order.
 func RenderTable4(w io.Writer, rows []RelayTrustRow, total RelayTrustRow) {

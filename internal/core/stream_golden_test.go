@@ -16,6 +16,7 @@ import (
 	"github.com/ethpbs/pbslab/internal/core"
 	"github.com/ethpbs/pbslab/internal/dataset"
 	"github.com/ethpbs/pbslab/internal/dsio"
+	"github.com/ethpbs/pbslab/internal/report"
 )
 
 // oneDaySource serves a DaySource's days to one streaming pass and gives
@@ -66,7 +67,15 @@ func TestStreamingMatchesInMemoryGolden(t *testing.T) {
 			labels := res.World.BuilderLabels()
 
 			dir := t.TempDir()
-			if err := dsio.WriteDays(dir, res.Dataset, labels); err != nil {
+			files, err := dsio.EncodeChunked(res.Dataset, labels)
+			if err != nil {
+				t.Fatal(err)
+			}
+			arts := make([]report.Artifact, len(files))
+			for i, f := range files {
+				arts[i] = report.Artifact{Name: f.Name, Data: f.Data}
+			}
+			if err := report.WriteArtifacts(dir, arts); err != nil {
 				t.Fatal(err)
 			}
 			r, err := dsio.Open(dir)

@@ -8,7 +8,8 @@
 //
 // The format is out-of-core (DESIGN.md §11): the corpus lands as a
 // dataset/ directory holding one gob segment per day of the window plus a
-// JSON segment index written last as the commit point.
+// JSON segment index. The output directory's manifest, written after every
+// file it covers, is the commit point.
 //
 //	dataset/index.json      SegmentIndex: window, version, per-segment
 //	                        name + size + sha256, sorted by day
@@ -22,9 +23,9 @@
 // and digest lazily on first OpenDay, so a consumer can stream a corpus
 // one day at a time holding O(one day) of block data. core.NewStreaming
 // builds its fused analysis index exactly this way. EncodeChunked renders
-// the layout as in-memory files for the report/manifest pipeline; WriteDays
-// lands the same files on disk as one atomicio batch, index last. There is
-// no streaming writer: the encoded corpus is held in memory once.
+// the layout as in-memory files, which the report/manifest pipeline lands
+// on disk with the rest of an output directory. There is no streaming
+// writer: the encoded corpus is held in memory once.
 //
 // # Encoding
 //

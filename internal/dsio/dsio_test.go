@@ -41,9 +41,7 @@ func smallRun(t *testing.T) *sim.Result {
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	res := smallRun(t)
 	dir := t.TempDir()
-	if err := WriteDays(dir, res.Dataset, res.World.BuilderLabels()); err != nil {
-		t.Fatal(err)
-	}
+	writeCorpus(t, dir, res.Dataset, res.World.BuilderLabels())
 	r, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -77,9 +75,7 @@ func TestDecodedAnalysisMatchesOriginal(t *testing.T) {
 	res := smallRun(t)
 	labels := res.World.BuilderLabels()
 	dir := t.TempDir()
-	if err := WriteDays(dir, res.Dataset, labels); err != nil {
-		t.Fatal(err)
-	}
+	writeCorpus(t, dir, res.Dataset, labels)
 	r, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -89,8 +85,8 @@ func TestDecodedAnalysisMatchesOriginal(t *testing.T) {
 		t.Fatal(err)
 	}
 	orig := core.New(res.Dataset, core.WithBuilderLabels(labels))
-	origArts := report.RenderAll(orig, 2)
-	decArts := report.RenderAll(decoded, 2)
+	origArts := report.RenderAll(context.Background(), orig, 2)
+	decArts := report.RenderAll(context.Background(), decoded, 2)
 	if len(origArts) != len(decArts) {
 		t.Fatalf("artifact count drifted: %d vs %d", len(origArts), len(decArts))
 	}
@@ -110,9 +106,7 @@ func TestDecodedAnalysisMatchesOriginal(t *testing.T) {
 func TestDecodeRejectsGarbageAndWrongVersion(t *testing.T) {
 	res := smallRun(t)
 	dir := t.TempDir()
-	if err := WriteDays(dir, res.Dataset, nil); err != nil {
-		t.Fatal(err)
-	}
+	writeCorpus(t, dir, res.Dataset, nil)
 	idxPath := filepath.Join(dir, filepath.FromSlash(IndexName))
 	pristine, err := os.ReadFile(idxPath)
 	if err != nil {

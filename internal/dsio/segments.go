@@ -19,7 +19,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"github.com/ethpbs/pbslab/internal/atomicio"
 	"github.com/ethpbs/pbslab/internal/dataset"
 	"github.com/ethpbs/pbslab/internal/types"
 )
@@ -29,7 +28,7 @@ import (
 const (
 	// DirName is the subdirectory holding every chunk of the corpus.
 	DirName = "dataset"
-	// IndexName is the segment index, written last.
+	// IndexName is the segment index.
 	IndexName = DirName + "/index.json"
 	// CommonName is the blocks-free common section every reader loads.
 	CommonName = DirName + "/common.seg"
@@ -96,7 +95,7 @@ type segDay struct {
 // section, one segment per day of the window in order (empty days
 // included), then the index. Blocks must be in chain order (they are, as
 // the collector hands them over). The artifact pipeline ships these files
-// under its directory manifest; WriteDays lands them on their own.
+// under its directory manifest.
 func EncodeChunked(ds *dataset.Dataset, labels map[types.Address]string) ([]File, error) {
 	days := ds.Days()
 	byDay := make([][]*dataset.Block, days)
@@ -145,30 +144,6 @@ func EncodeChunked(ds *dataset.Dataset, labels map[types.Address]string) ([]File
 func digest(data []byte) string {
 	sum := sha256.Sum256(data)
 	return hex.EncodeToString(sum[:])
-}
-
-// WriteDays writes ds as a chunked corpus rooted at dir: the common
-// section and every day segment land as one atomicio batch, then the
-// index, the commit point, on its own. Until the index lands the
-// directory holds segments no index references (readers ignore them;
-// verification calls them stale).
-func WriteDays(dir string, ds *dataset.Dataset, labels map[types.Address]string) error {
-	files, err := EncodeChunked(ds, labels)
-	if err != nil {
-		return err
-	}
-	if err := os.MkdirAll(filepath.Join(dir, DirName), 0o755); err != nil {
-		return fmt.Errorf("dsio: create segment dir: %w", err)
-	}
-	batch := make([]atomicio.File, len(files))
-	for i, f := range files {
-		batch[i] = atomicio.File{Path: filepath.Join(dir, filepath.FromSlash(f.Name)), Data: f.Data}
-	}
-	last := len(batch) - 1 // the index
-	if err := atomicio.WriteFiles(batch[:last], 0o644); err != nil {
-		return err
-	}
-	return atomicio.WriteFile(batch[last].Path, batch[last].Data, 0o644)
 }
 
 // Reader opens a chunked corpus for streamed access: the index and common

@@ -1,7 +1,6 @@
 package dsio
 
 import (
-	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -11,15 +10,31 @@ import (
 
 	"github.com/ethpbs/pbslab/internal/dataset"
 	"github.com/ethpbs/pbslab/internal/report"
+	"github.com/ethpbs/pbslab/internal/types"
 )
+
+// writeCorpus lands ds's chunked corpus in dir the way pbslab ships it:
+// EncodeChunked's files written as report artifacts under a manifest.
+func writeCorpus(t *testing.T, dir string, ds *dataset.Dataset, labels map[types.Address]string) {
+	t.Helper()
+	files, err := EncodeChunked(ds, labels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arts := make([]report.Artifact, len(files))
+	for i, f := range files {
+		arts[i] = report.Artifact{Name: f.Name, Data: f.Data}
+	}
+	if err := report.WriteArtifacts(dir, arts); err != nil {
+		t.Fatal(err)
+	}
+}
 
 func TestChunkedRoundTrip(t *testing.T) {
 	res := smallRun(t)
 	labels := res.World.BuilderLabels()
 	dir := t.TempDir()
-	if err := WriteDays(dir, res.Dataset, labels); err != nil {
-		t.Fatal(err)
-	}
+	writeCorpus(t, dir, res.Dataset, labels)
 
 	r, err := Open(dir)
 	if err != nil {
@@ -51,31 +66,6 @@ func TestChunkedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestEncodeChunkedMatchesWriteDays pins the artifact-pipeline path to the
-// disk path byte for byte: the corpus shipped under a report manifest is
-// exactly what WriteDays puts on disk.
-func TestEncodeChunkedMatchesWriteDays(t *testing.T) {
-	res := smallRun(t)
-	labels := res.World.BuilderLabels()
-	dir := t.TempDir()
-	if err := WriteDays(dir, res.Dataset, labels); err != nil {
-		t.Fatal(err)
-	}
-	files, err := EncodeChunked(res.Dataset, labels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range files {
-		disk, err := os.ReadFile(filepath.Join(dir, filepath.FromSlash(f.Name)))
-		if err != nil {
-			t.Fatalf("%s: %v", f.Name, err)
-		}
-		if !bytes.Equal(disk, f.Data) {
-			t.Errorf("%s: EncodeChunked bytes differ from WriteDays", f.Name)
-		}
-	}
-}
-
 // TestChunkedEmptyDay feeds the writer a corpus with a block-free day in
 // the middle of the window: the day still gets a segment, and the round
 // trip preserves the gap.
@@ -85,9 +75,7 @@ func TestChunkedEmptyDay(t *testing.T) {
 	pruned := pruneDay(t, full, 1)
 
 	dir := t.TempDir()
-	if err := WriteDays(dir, pruned, nil); err != nil {
-		t.Fatal(err)
-	}
+	writeCorpus(t, dir, pruned, nil)
 	r, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -141,9 +129,7 @@ func pruneDay(t *testing.T, ds *dataset.Dataset, day int) *dataset.Dataset {
 func TestChunkedTornSegment(t *testing.T) {
 	res := smallRun(t)
 	dir := t.TempDir()
-	if err := WriteDays(dir, res.Dataset, nil); err != nil {
-		t.Fatal(err)
-	}
+	writeCorpus(t, dir, res.Dataset, nil)
 	path := filepath.Join(dir, filepath.FromSlash(SegmentName(1)))
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -184,9 +170,7 @@ func TestChunkedTornSegment(t *testing.T) {
 func TestChunkedCorruptSegment(t *testing.T) {
 	res := smallRun(t)
 	dir := t.TempDir()
-	if err := WriteDays(dir, res.Dataset, nil); err != nil {
-		t.Fatal(err)
-	}
+	writeCorpus(t, dir, res.Dataset, nil)
 	path := filepath.Join(dir, filepath.FromSlash(SegmentName(0)))
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -213,9 +197,7 @@ func TestChunkedCorruptSegment(t *testing.T) {
 func TestChunkedIndexMissingSegment(t *testing.T) {
 	res := smallRun(t)
 	dir := t.TempDir()
-	if err := WriteDays(dir, res.Dataset, nil); err != nil {
-		t.Fatal(err)
-	}
+	writeCorpus(t, dir, res.Dataset, nil)
 	idxPath := filepath.Join(dir, filepath.FromSlash(IndexName))
 	raw, err := os.ReadFile(idxPath)
 	if err != nil {
@@ -263,18 +245,8 @@ func TestChunkedIndexMissingSegment(t *testing.T) {
 // the same rules as top-level files.
 func TestChunkedFilesVerifyUnderManifest(t *testing.T) {
 	res := smallRun(t)
-	files, err := EncodeChunked(res.Dataset, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	arts := make([]report.Artifact, len(files))
-	for i, f := range files {
-		arts[i] = report.Artifact{Name: f.Name, Data: f.Data}
-	}
 	dir := t.TempDir()
-	if err := report.WriteArtifacts(dir, arts); err != nil {
-		t.Fatal(err)
-	}
+	writeCorpus(t, dir, res.Dataset, nil)
 	problems, err := report.VerifyDir(dir)
 	if err != nil {
 		t.Fatal(err)

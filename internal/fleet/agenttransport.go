@@ -180,7 +180,7 @@ func (t *AgentTransport) sign(req *http.Request, body []byte) error {
 	if t.Auth == nil {
 		return nil
 	}
-	return t.Auth.SignRequest(req, body)
+	return t.Auth.Sign(req, body)
 }
 
 func (t *AgentTransport) tries() int {

@@ -402,7 +402,7 @@ func NewCoordinator(runDir string, grid *Grid, opts Options, resume bool) (*Coor
 	}
 	c := &Coordinator{runDir: runDir, grid: grid, opts: opts, journal: j, byID: map[string]*cellRun{}, ledger: &TransferLedger{}}
 	if len(opts.Secret) > 0 {
-		c.auth = serve.NewAuthenticator(opts.Secret, 0)
+		c.auth = serve.NewAuthenticator(opts.Secret)
 		// Any free-text field a worker or agent error flows into is
 		// scrubbed before it lands on disk: the journal must stay
 		// grep-proof for the secret.

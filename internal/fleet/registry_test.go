@@ -86,7 +86,7 @@ func TestRegistryDrainingAndDeregister(t *testing.T) {
 }
 
 func TestRegistryRejectsUnsignedWhenAuthed(t *testing.T) {
-	auth := serve.NewAuthenticator([]byte("fleet-secret"), 0)
+	auth := serve.NewAuthenticator([]byte("fleet-secret"))
 	r := NewRegistry(auth, time.Second)
 
 	w := postRegister(t, r, nil, RegistryPathRegister, RegisterRequest{Addr: "h1:9", Capacity: 1})

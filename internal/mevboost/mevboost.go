@@ -26,8 +26,11 @@ import (
 	"github.com/ethpbs/pbslab/internal/types"
 )
 
-// Endpoint abstracts a relay connection (direct in-process for the
-// simulator, HTTP via relayapi.Client for the networked demo).
+// Endpoint is the sidecar's view of one relay. Direct, an in-process
+// relay, is the only implementation the simulator wires in (sim wraps it
+// to gate declared outages); the HTTP relay API has no adapter to it, as
+// relayapi.Client.GetHeader takes a context and a parent hash and reports
+// a missing bid separately.
 type Endpoint interface {
 	RelayName() string
 	GetHeader(slot uint64, proposer types.PubKey) (*pbs.Bid, error)

@@ -145,7 +145,7 @@ func TestKillAndResumeByteIdenticalArtifacts(t *testing.T) {
 				t.Helper()
 				a := core.New(res.Dataset, core.WithBuilderLabels(res.World.BuilderLabels()))
 				dir := t.TempDir()
-				if err := WriteAll(a, dir); err != nil {
+				if err := WriteAllExtraContext(context.Background(), a, dir); err != nil {
 					t.Fatal(err)
 				}
 				return dir

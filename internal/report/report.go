@@ -1,11 +1,15 @@
 // Package report renders a finished analysis as the paper's artifacts: a
 // terminal digest and one CSV per figure plus text tables, ready for
-// side-by-side comparison with the published plots.
+// side-by-side comparison with the published plots. Each figure CSV is one
+// core.DayFigures entry's WriteCSV; the text tables are PrintAll.
 //
-// RenderAll produces every artifact concurrently on a bounded worker pool;
-// results are collected in a fixed slice order and each artifact's bytes
-// are a deterministic function of the analysis, so the output is identical
-// however the pool schedules the work.
+// RenderAll(ctx, a, workers) is the one renderer: it produces every
+// artifact concurrently on a bounded worker pool, isolating a panicking
+// renderer and honouring ctx. Results are collected in a fixed slice order
+// and each artifact's bytes are a deterministic function of the analysis,
+// so the output is identical however the pool schedules the work.
+// WriteAllExtraContext lands the rendered set, plus any caller-supplied
+// artifacts, in a directory under one manifest that VerifyDir checks.
 package report
 
 import (
@@ -19,8 +23,6 @@ import (
 	"sync"
 
 	"github.com/ethpbs/pbslab/internal/core"
-	"github.com/ethpbs/pbslab/internal/mev"
-	"github.com/ethpbs/pbslab/internal/stats"
 )
 
 // PrintAll writes the full text report: summary, tables and coverage.
@@ -56,8 +58,8 @@ func PrintAll(w io.Writer, a *core.Analysis) {
 }
 
 // Artifact is one rendered output file. A non-nil Err marks a renderer
-// that panicked or was cancelled; its Data is empty and WriteAll skips it
-// while still flushing every completed artifact.
+// that panicked or was cancelled; its Data is empty and WriteAllExtraContext
+// skips it while still flushing every completed artifact.
 type Artifact struct {
 	Name string
 	Data []byte
@@ -70,95 +72,28 @@ type step struct {
 	fn   func(io.Writer)
 }
 
-// artifactSteps lists every output artifact. All closures are lazy — no
+// artifactSteps lists every output artifact: one CSV per core.DayFigures
+// entry, in table order, then the text tables. All closures are lazy — no
 // figure is computed until a worker runs the step — so the pool, not the
 // listing, decides concurrency.
 func artifactSteps(a *core.Analysis) []step {
-	split := func(title string, get func() core.ValueSplit) func(io.Writer) {
-		return func(w io.Writer) {
-			v := get()
-			core.RenderMultiSeries(w, title, map[string]stats.Series{
-				"pbs": v.PBS, "local": v.Local,
-			}, 1)
-		}
+	steps := make([]step, 0, len(core.DayFigures)+1)
+	for _, f := range core.DayFigures {
+		steps = append(steps, step{f.Key + ".csv", func(w io.Writer) { f.WriteCSV(w, a) }})
 	}
-
-	return []step{
-		{"fig03_payment_shares.csv", func(w io.Writer) {
-			ps := a.Figure3PaymentShares()
-			core.RenderMultiSeries(w, "Figure 3: share of user payments", map[string]stats.Series{
-				"base_fee": ps.BaseFee, "priority_fee": ps.Priority, "direct_transfers": ps.Direct,
-			}, 1)
-		}},
-		{"fig04_pbs_share.csv", func(w io.Writer) {
-			core.RenderSeries(w, "Figure 4: daily PBS share", a.Figure4PBSShare(), 1)
-		}},
-		{"fig05_relay_shares.csv", func(w io.Writer) {
-			core.RenderMultiSeries(w, "Figure 5: daily relay shares", a.Figure5RelayShares(), 1)
-		}},
-		{"fig06_hhi.csv", func(w io.Writer) {
-			h := a.Figure6HHI()
-			core.RenderMultiSeries(w, "Figure 6: relay and builder HHI", map[string]stats.Series{
-				"relays": h.Relays, "builders": h.Builders,
-			}, 1)
-		}},
-		{"fig07_builders_per_relay.csv", func(w io.Writer) {
-			core.RenderMultiSeries(w, "Figure 7: builders per relay", a.Figure7BuildersPerRelay(), 1)
-		}},
-		{"fig08_builder_shares.csv", func(w io.Writer) {
-			core.RenderMultiSeries(w, "Figure 8: daily builder shares", a.Figure8BuilderShares(), 1)
-		}},
-		{"fig09_block_value.csv", split("Figure 9: mean daily block value [ETH]", func() core.ValueSplit { return a.Figure9BlockValue() })},
-		{"fig10_proposer_profit.csv", func(w io.Writer) {
-			p := a.Figure10ProposerProfit()
-			core.RenderMultiSeries(w, "Figure 10: daily proposer profit [ETH]", map[string]stats.Series{
-				"pbs_median": p.PBSMedian, "pbs_q1": p.PBSQ1, "pbs_q3": p.PBSQ3,
-				"local_median": p.LocalMedian, "local_q1": p.LocalQ1, "local_q3": p.LocalQ3,
-			}, 1)
-		}},
-		{"fig13_block_size.csv", func(w io.Writer) {
-			s := a.Figure13BlockSize()
-			fmt.Fprintf(w, "# target gas = %.0f\n", s.Target)
-			core.RenderMultiSeries(w, "Figure 13: mean daily gas used", map[string]stats.Series{
-				"pbs_mean": s.PBSMean, "pbs_std": s.PBSStd,
-				"local_mean": s.LocalMean, "local_std": s.LocalStd,
-			}, 1)
-		}},
-		{"fig14_private_txs.csv", split("Figure 14: daily private tx share", func() core.ValueSplit { return a.Figure14PrivateTxShare() })},
-		{"fig15_mev_per_block.csv", split("Figure 15: mean MEV txs per block", func() core.ValueSplit { return a.Figure15MEVPerBlock() })},
-		{"fig16_mev_value_share.csv", split("Figure 16: MEV share of block value", func() core.ValueSplit { return a.Figure16MEVValueShare() })},
-		{"fig17_censoring_share.csv", func(w io.Writer) {
-			core.RenderSeries(w, "Figure 17: share of PBS blocks via OFAC-compliant relays",
-				a.Figure17CensoringShare(), 1)
-		}},
-		{"fig18_sanctioned_share.csv", split("Figure 18: share of blocks with sanctioned txs", func() core.ValueSplit { return a.Figure18SanctionedShare() })},
-		{"fig19_profit_split.csv", func(w io.Writer) {
-			p := a.Figure19ProfitSplit()
-			core.RenderMultiSeries(w, "Figure 19: builder/proposer profit split", map[string]stats.Series{
-				"builder": p.BuilderShare, "proposer": p.ProposerShare,
-			}, 1)
-		}},
-		{"fig20_sandwiches.csv", split("Figure 20: sandwiches per block", func() core.ValueSplit { return a.Figure20To22MEVKind(mev.KindSandwich) })},
-		{"fig21_arbitrage.csv", split("Figure 21: cyclic arbitrage per block", func() core.ValueSplit { return a.Figure20To22MEVKind(mev.KindArbitrage) })},
-		{"fig22_liquidations.csv", split("Figure 22: liquidations per block", func() core.ValueSplit { return a.Figure20To22MEVKind(mev.KindLiquidation) })},
-		{"tables.txt", func(w io.Writer) { PrintAll(w, a) }},
-	}
+	return append(steps, step{"tables.txt", func(w io.Writer) { PrintAll(w, a) }})
 }
 
 // RenderAll renders every artifact into memory using at most workers
 // concurrent renderers. The returned slice is always in the fixed artifact
 // order regardless of scheduling; Analysis methods are memoized and safe
 // for concurrent use, so overlapping jobs share rather than repeat work.
-func RenderAll(a *core.Analysis, workers int) []Artifact {
-	return RenderAllContext(context.Background(), a, workers)
-}
-
-// RenderAllContext is RenderAll with cancellation and panic isolation: a
-// renderer that panics poisons only its own artifact (Err carries the panic
-// and stack), and once ctx is cancelled the remaining un-rendered artifacts
-// are marked with ctx's error instead of being computed. Completed
-// artifacts are always returned, so callers can flush partial output.
-func RenderAllContext(ctx context.Context, a *core.Analysis, workers int) []Artifact {
+// A renderer that panics poisons only its own artifact (Err carries the
+// panic and stack), and once ctx is cancelled the remaining un-rendered
+// artifacts are marked with ctx's error instead of being computed.
+// Completed artifacts are always returned, so callers can flush partial
+// output.
+func RenderAll(ctx context.Context, a *core.Analysis, workers int) []Artifact {
 	return renderSteps(ctx, artifactSteps(a), workers)
 }
 
@@ -210,32 +145,22 @@ func renderOne(s step) (data []byte, err error) {
 	return buf.Bytes(), nil
 }
 
-// WriteAll renders all artifacts (concurrently, see RenderAll) and writes
-// them into dir, one file per figure plus the text tables and a manifest.
-// Every file lands atomically (temp + rename), so a crash mid-write never
-// leaves a half-written artifact under its final name.
-func WriteAll(a *core.Analysis, dir string) error {
-	return WriteAllContext(context.Background(), a, dir)
-}
-
-// WriteAllContext is WriteAll under a context: on cancellation (or a
-// renderer failure) every artifact that did complete is still flushed to
-// disk and covered by the manifest, then the error is reported. A partial
-// directory therefore always verifies clean against its manifest — it is
-// merely incomplete, never corrupt.
-func WriteAllContext(ctx context.Context, a *core.Analysis, dir string) error {
-	return WriteAllExtraContext(ctx, a, dir)
-}
-
-// WriteAllExtraContext is WriteAllContext with additional caller-supplied
-// artifacts (e.g. the serialized dataset a serving daemon reloads from)
-// landed in the same directory and covered by the same manifest, so
-// VerifyDir certifies them exactly like the rendered figures.
+// WriteAllExtraContext renders every artifact (concurrently, see
+// RenderAll) and writes them into dir, one file per figure plus the text
+// tables, together with caller-supplied extra artifacts (e.g. the chunked
+// corpus a serving daemon reloads from), all covered by one manifest, so
+// VerifyDir certifies the extras exactly like the rendered figures. Every
+// file lands atomically (temp + rename), so a crash mid-write never leaves
+// a half-written artifact under its final name. On cancellation (or a
+// renderer failure) every artifact that did complete is still flushed and
+// covered by the manifest, then the error is reported: a partial directory
+// always verifies clean against its manifest — it is merely incomplete,
+// never corrupt.
 func WriteAllExtraContext(ctx context.Context, a *core.Analysis, dir string, extra ...Artifact) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	arts := RenderAllContext(ctx, a, a.Workers())
+	arts := RenderAll(ctx, a, a.Workers())
 	arts = append(arts, extra...)
 	var errs []error
 	var done []Artifact

@@ -45,7 +45,7 @@ func TestPrintAllSections(t *testing.T) {
 func TestWriteAllProducesEveryFigure(t *testing.T) {
 	a := smallAnalysis(t)
 	dir := t.TempDir()
-	if err := WriteAll(a, dir); err != nil {
+	if err := WriteAllExtraContext(context.Background(), a, dir); err != nil {
 		t.Fatal(err)
 	}
 	want := []string{
@@ -71,7 +71,7 @@ func TestWriteAllProducesEveryFigure(t *testing.T) {
 
 func TestWriteAllBadDir(t *testing.T) {
 	a := smallAnalysis(t)
-	if err := WriteAll(a, "/proc/definitely/not/writable"); err == nil {
-		t.Error("WriteAll into unwritable path succeeded")
+	if err := WriteAllExtraContext(context.Background(), a, "/proc/definitely/not/writable"); err == nil {
+		t.Error("WriteAllExtraContext into unwritable path succeeded")
 	}
 }

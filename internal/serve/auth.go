@@ -65,22 +65,19 @@ type Authenticator struct {
 	seen map[string]time.Time // nonce -> expiry
 }
 
-// DefaultAuthWindow is the freshness window when NewAuthenticator is given
-// zero: timestamps older or newer than this are rejected as stale, and
-// nonces are remembered for this long.
+// DefaultAuthWindow is an authenticator's freshness window: timestamps
+// older or newer than this are rejected as stale, and nonces are
+// remembered for this long.
 const DefaultAuthWindow = 2 * time.Minute
 
-// NewAuthenticator builds an authenticator for secret. window <= 0 uses
+// NewAuthenticator builds an authenticator for secret with the
 // DefaultAuthWindow. An empty secret is rejected at load time by
 // LoadSecretFile; passing one here yields an authenticator that denies
 // everything, which is the safe failure mode.
-func NewAuthenticator(secret []byte, window time.Duration) *Authenticator {
-	if window <= 0 {
-		window = DefaultAuthWindow
-	}
+func NewAuthenticator(secret []byte) *Authenticator {
 	return &Authenticator{
 		secret: append([]byte(nil), secret...),
-		window: window,
+		window: DefaultAuthWindow,
 		now:    time.Now,
 		seen:   make(map[string]time.Time),
 	}
@@ -231,21 +228,6 @@ func (a *Authenticator) Middleware(next http.Handler) http.Handler {
 		}
 		next.ServeHTTP(w, r)
 	})
-}
-
-// SignRequest is a convenience for callers holding a request whose body is
-// already buffered as bytes: it rewires GetBody/Body to replayable readers
-// and signs. Use when a retrying HTTP client (faults.Transport duplicate
-// mode, redirects) may need the body again.
-func (a *Authenticator) SignRequest(r *http.Request, body []byte) error {
-	if body != nil {
-		r.Body = io.NopCloser(bytes.NewReader(body))
-		r.GetBody = func() (io.ReadCloser, error) {
-			return io.NopCloser(bytes.NewReader(body)), nil
-		}
-		r.ContentLength = int64(len(body))
-	}
-	return a.Sign(r, body)
 }
 
 // Redact replaces every occurrence of the secret (raw and hex forms) in s

@@ -37,7 +37,7 @@ func echoBody(ran *int, got *string) http.Handler {
 }
 
 func TestAuthRoundTrip(t *testing.T) {
-	a := NewAuthenticator([]byte("s3cret"), time.Minute)
+	a := NewAuthenticator([]byte("s3cret"))
 	var ran int
 	var got string
 	h := a.Middleware(echoBody(&ran, &got))
@@ -60,7 +60,7 @@ func TestAuthRoundTrip(t *testing.T) {
 }
 
 func TestAuthRejectsMissingAndWrongSecret(t *testing.T) {
-	a := NewAuthenticator([]byte("s3cret"), time.Minute)
+	a := NewAuthenticator([]byte("s3cret"))
 	var ran int
 	var got string
 	h := a.Middleware(echoBody(&ran, &got))
@@ -73,7 +73,7 @@ func TestAuthRejectsMissingAndWrongSecret(t *testing.T) {
 	}
 
 	// Signed with a different secret.
-	other := NewAuthenticator([]byte("wrong"), time.Minute)
+	other := NewAuthenticator([]byte("wrong"))
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, signedRequest(t, other, "GET", "/api/v1/status", nil))
 	if rec.Code != http.StatusUnauthorized || rec.Header().Get(AuthErrorHeader) != AuthErrDenied {
@@ -88,7 +88,7 @@ func TestAuthRejectsMissingAndWrongSecret(t *testing.T) {
 }
 
 func TestAuthRejectsTamper(t *testing.T) {
-	a := NewAuthenticator([]byte("s3cret"), time.Minute)
+	a := NewAuthenticator([]byte("s3cret"))
 	var ran int
 	var got string
 	h := a.Middleware(echoBody(&ran, &got))
@@ -116,7 +116,7 @@ func TestAuthRejectsTamper(t *testing.T) {
 }
 
 func TestAuthReplayAndResign(t *testing.T) {
-	a := NewAuthenticator([]byte("s3cret"), time.Minute)
+	a := NewAuthenticator([]byte("s3cret"))
 	var ran int
 	var got string
 	h := a.Middleware(echoBody(&ran, &got))
@@ -153,8 +153,8 @@ func TestAuthReplayAndResign(t *testing.T) {
 }
 
 func TestAuthStaleTimestamp(t *testing.T) {
-	client := NewAuthenticator([]byte("s3cret"), time.Minute)
-	server := NewAuthenticator([]byte("s3cret"), time.Minute)
+	client := NewAuthenticator([]byte("s3cret"))
+	server := NewAuthenticator([]byte("s3cret"))
 	// Server clock is an hour ahead of the client's.
 	server.now = func() time.Time { return time.Now().Add(time.Hour) }
 	var ran int
@@ -175,7 +175,7 @@ func TestAuthStaleTimestamp(t *testing.T) {
 }
 
 func TestAuthNonceCachePrunes(t *testing.T) {
-	a := NewAuthenticator([]byte("s3cret"), time.Minute)
+	a := NewAuthenticator([]byte("s3cret"))
 	cur := time.Unix(1_700_000_000, 0)
 	a.now = func() time.Time { return cur }
 	var ran int
@@ -253,7 +253,7 @@ func TestAdminReloadRequiresAuth(t *testing.T) {
 		t.Fatalf("unsigned reload: status %d, want 401", rec.Code)
 	}
 
-	a := NewAuthenticator(secret, 0)
+	a := NewAuthenticator(secret)
 	r := signedRequest(t, a, "POST", "/admin/reload", nil)
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, r)

@@ -15,6 +15,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -500,6 +501,52 @@ func TestServeReloadCancelledIsNotRejection(t *testing.T) {
 	if st.Current() != snap || snap.Generation != 1 {
 		t.Fatalf("live reload did not swap in: current %p, snap %p, generation %d", st.Current(), snap, snap.Generation)
 	}
+}
+
+// TestServeReloadCancelledSkipsVerification: Load checks its context
+// before report.VerifyDir, so a reload whose caller has already gone fails
+// on the context even for a missing directory (not with "no manifest") and
+// is not recorded; and it checks again before the corpus rung, so a caller
+// that leaves while the directory is verified stops the load before any
+// day segment is opened, validated or analysed.
+func TestServeReloadCancelledSkipsVerification(t *testing.T) {
+	st := NewStore(LoadOptions{})
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	missing := filepath.Join(t.TempDir(), "missing")
+	if _, err := st.Reload(cancelled, missing); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Reload(cancelled, missing dir) = %v, want an error wrapping context.Canceled", err)
+	}
+	if s := st.Status(); s.Degraded || s.Rejects != 0 {
+		t.Fatalf("cancelled reload recorded as a rejection: %+v", s)
+	}
+
+	dir := t.TempDir()
+	buildDataDir(t, dir)
+	ctx := &endsAfterChecks{Context: context.Background(), live: 1}
+	_, err := Load(ctx, dir, LoadOptions{})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Load with a caller gone after the first check = %v, want an error wrapping context.Canceled", err)
+	}
+	if strings.Contains(err.Error(), "build analysis") {
+		t.Fatalf("Load reached the analysis build before noticing its caller had gone: %v", err)
+	}
+}
+
+// endsAfterChecks is a context whose first live Err calls report it live
+// and every later one context.Canceled: a caller that leaves while the
+// load is under way. Done never closes, so only explicit checks see it end.
+type endsAfterChecks struct {
+	context.Context
+	live  int32
+	calls atomic.Int32
+}
+
+func (c *endsAfterChecks) Err() error {
+	if c.calls.Add(1) <= c.live {
+		return nil
+	}
+	return context.Canceled
 }
 
 // TestServeReloadRejectsCorruptDataset covers the deepest rung: a directory

@@ -3,8 +3,6 @@ package serve
 import (
 	"math"
 
-	"github.com/ethpbs/pbslab/internal/core"
-	"github.com/ethpbs/pbslab/internal/mev"
 	"github.com/ethpbs/pbslab/internal/stats"
 )
 
@@ -41,86 +39,4 @@ func pointJSON(s stats.Series, day int) *float64 {
 type figureItem struct {
 	Key   string `json:"key"`
 	Title string `json:"title"`
-}
-
-// figureQuery maps one query key to the index-backed series behind the
-// matching artifact. The keys intentionally equal the artifact file stems,
-// so /artifacts/fig04_pbs_share.csv and /api/v1/figure/fig04_pbs_share are
-// two views of the same data.
-type figureQuery struct {
-	Key    string
-	Title  string
-	Series func(a *core.Analysis) map[string]stats.Series
-}
-
-func split(get func(a *core.Analysis) core.ValueSplit) func(a *core.Analysis) map[string]stats.Series {
-	return func(a *core.Analysis) map[string]stats.Series {
-		v := get(a)
-		return map[string]stats.Series{"pbs": v.PBS, "local": v.Local}
-	}
-}
-
-// figureQueries lists every per-day query the daemon answers. Figures 11/12
-// (per-builder box plots) and the text tables are artifact-only: they are
-// not day-indexed series.
-var figureQueries = []figureQuery{
-	{"fig03_payment_shares", "share of user payments", func(a *core.Analysis) map[string]stats.Series {
-		ps := a.Figure3PaymentShares()
-		return map[string]stats.Series{"base_fee": ps.BaseFee, "priority_fee": ps.Priority, "direct_transfers": ps.Direct}
-	}},
-	{"fig04_pbs_share", "daily PBS share", func(a *core.Analysis) map[string]stats.Series {
-		return map[string]stats.Series{"value": a.Figure4PBSShare()}
-	}},
-	{"fig05_relay_shares", "daily relay shares", func(a *core.Analysis) map[string]stats.Series {
-		return a.Figure5RelayShares()
-	}},
-	{"fig06_hhi", "relay and builder HHI", func(a *core.Analysis) map[string]stats.Series {
-		h := a.Figure6HHI()
-		return map[string]stats.Series{"relays": h.Relays, "builders": h.Builders}
-	}},
-	{"fig07_builders_per_relay", "builders per relay", func(a *core.Analysis) map[string]stats.Series {
-		return a.Figure7BuildersPerRelay()
-	}},
-	{"fig08_builder_shares", "daily builder shares", func(a *core.Analysis) map[string]stats.Series {
-		return a.Figure8BuilderShares()
-	}},
-	{"fig09_block_value", "mean daily block value [ETH]", split(func(a *core.Analysis) core.ValueSplit { return a.Figure9BlockValue() })},
-	{"fig10_proposer_profit", "daily proposer profit [ETH]", func(a *core.Analysis) map[string]stats.Series {
-		p := a.Figure10ProposerProfit()
-		return map[string]stats.Series{
-			"pbs_median": p.PBSMedian, "pbs_q1": p.PBSQ1, "pbs_q3": p.PBSQ3,
-			"local_median": p.LocalMedian, "local_q1": p.LocalQ1, "local_q3": p.LocalQ3,
-		}
-	}},
-	{"fig13_block_size", "mean daily gas used", func(a *core.Analysis) map[string]stats.Series {
-		s := a.Figure13BlockSize()
-		return map[string]stats.Series{
-			"pbs_mean": s.PBSMean, "pbs_std": s.PBSStd,
-			"local_mean": s.LocalMean, "local_std": s.LocalStd,
-		}
-	}},
-	{"fig14_private_txs", "daily private tx share", split(func(a *core.Analysis) core.ValueSplit { return a.Figure14PrivateTxShare() })},
-	{"fig15_mev_per_block", "mean MEV txs per block", split(func(a *core.Analysis) core.ValueSplit { return a.Figure15MEVPerBlock() })},
-	{"fig16_mev_value_share", "MEV share of block value", split(func(a *core.Analysis) core.ValueSplit { return a.Figure16MEVValueShare() })},
-	{"fig17_censoring_share", "share of PBS blocks via OFAC-compliant relays", func(a *core.Analysis) map[string]stats.Series {
-		return map[string]stats.Series{"value": a.Figure17CensoringShare()}
-	}},
-	{"fig18_sanctioned_share", "share of blocks with sanctioned txs", split(func(a *core.Analysis) core.ValueSplit { return a.Figure18SanctionedShare() })},
-	{"fig19_profit_split", "builder/proposer profit split", func(a *core.Analysis) map[string]stats.Series {
-		p := a.Figure19ProfitSplit()
-		return map[string]stats.Series{"builder": p.BuilderShare, "proposer": p.ProposerShare}
-	}},
-	{"fig20_sandwiches", "sandwiches per block", split(func(a *core.Analysis) core.ValueSplit { return a.Figure20To22MEVKind(mev.KindSandwich) })},
-	{"fig21_arbitrage", "cyclic arbitrage per block", split(func(a *core.Analysis) core.ValueSplit { return a.Figure20To22MEVKind(mev.KindArbitrage) })},
-	{"fig22_liquidations", "liquidations per block", split(func(a *core.Analysis) core.ValueSplit { return a.Figure20To22MEVKind(mev.KindLiquidation) })},
-}
-
-// figureQueryByKey resolves a query key, nil when unknown.
-func figureQueryByKey(key string) *figureQuery {
-	for i := range figureQueries {
-		if figureQueries[i].Key == key {
-			return &figureQueries[i]
-		}
-	}
-	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -234,8 +235,8 @@ func TestServeFigureQueriesMatchAnalysis(t *testing.T) {
 	if status := getJSON(t, ts.URL+"/api/v1/figures", &list); status != http.StatusOK {
 		t.Fatalf("figures status = %d", status)
 	}
-	if !list.HasDataset || len(list.Figures) != len(figureQueries) {
-		t.Fatalf("figure list: has_dataset=%v n=%d want %d", list.HasDataset, len(list.Figures), len(figureQueries))
+	if !list.HasDataset || len(list.Figures) != len(core.DayFigures) {
+		t.Fatalf("figure list: has_dataset=%v n=%d want %d", list.HasDataset, len(list.Figures), len(core.DayFigures))
 	}
 
 	a := s.Store().Current().Analysis
@@ -265,6 +266,82 @@ func TestServeFigureQueriesMatchAnalysis(t *testing.T) {
 	}
 }
 
+// TestServeFigureQueriesMatchArtifacts holds the two views of every
+// day-indexed figure to each other: /api/v1/figure/{key} carries exactly
+// the series of /artifacts/{key}.csv (its header columns, or the one value
+// column of a headerless CSV), under the CSV's title, and each day's value
+// prints as the CSV's %.6f cell, with an empty cell served as null.
+func TestServeFigureQueriesMatchArtifacts(t *testing.T) {
+	_, ts := newTestServer(t, nil)
+	for _, f := range core.DayFigures {
+		status, csv, _ := get(t, ts.URL+"/artifacts/"+f.Key+".csv")
+		if status != http.StatusOK {
+			t.Fatalf("%s.csv: status %d", f.Key, status)
+		}
+		var fig struct {
+			Key    string                `json:"key"`
+			Title  string                `json:"title"`
+			Series map[string]seriesJSON `json:"series"`
+		}
+		if status := getJSON(t, ts.URL+"/api/v1/figure/"+f.Key, &fig); status != http.StatusOK {
+			t.Fatalf("figure %s: status %d", f.Key, status)
+		}
+		if fig.Key != f.Key {
+			t.Errorf("figure %s answered as %q", f.Key, fig.Key)
+		}
+
+		names := []string{"value"}
+		rows := map[int][]string{}
+		title := ""
+		for _, line := range strings.Split(strings.TrimSuffix(string(csv), "\n"), "\n") {
+			switch {
+			case strings.HasPrefix(line, "# Figure "):
+				title = line
+			case strings.HasPrefix(line, "#"):
+			case strings.HasPrefix(line, "day,"):
+				names = strings.Split(strings.TrimPrefix(line, "day,"), ",")
+			default:
+				cells := strings.Split(line, ",")
+				day, err := strconv.Atoi(cells[0])
+				if err != nil || len(cells) != len(names)+1 {
+					t.Fatalf("%s.csv: malformed row %q under columns %v", f.Key, line, names)
+				}
+				rows[day] = cells[1:]
+			}
+		}
+		if want := fmt.Sprintf("# Figure %d: %s", f.Number, fig.Title); title != want {
+			t.Errorf("%s: CSV title %q, query title gives %q", f.Key, title, want)
+		}
+		if len(fig.Series) != len(names) {
+			t.Errorf("%s: query has %d series, CSV columns %v", f.Key, len(fig.Series), names)
+		}
+		for j, name := range names {
+			s, ok := fig.Series[name]
+			if !ok {
+				t.Errorf("%s: CSV column %q missing from the query", f.Key, name)
+				continue
+			}
+			for i := range s.Values {
+				if _, ok := rows[s.Start+i]; !ok {
+					t.Errorf("%s/%s: served day %d has no CSV row", f.Key, name, s.Start+i)
+				}
+			}
+			for day, cells := range rows {
+				var p *float64
+				if i := day - s.Start; i >= 0 && i < len(s.Values) {
+					p = s.Values[i]
+				}
+				switch cell := cells[j]; {
+				case cell == "" && p != nil:
+					t.Errorf("%s/%s day %d: empty CSV cell served as %v, want null", f.Key, name, day, *p)
+				case cell != "" && (p == nil || fmt.Sprintf("%.6f", *p) != cell):
+					t.Errorf("%s/%s day %d: CSV %q, served %v", f.Key, name, day, cell, p)
+				}
+			}
+		}
+	}
+}
+
 func TestServeDayQueryBoundsAndContent(t *testing.T) {
 	s, ts := newTestServer(t, nil)
 	var day struct {
@@ -274,8 +351,8 @@ func TestServeDayQueryBoundsAndContent(t *testing.T) {
 	if status := getJSON(t, ts.URL+"/api/v1/day/1", &day); status != http.StatusOK {
 		t.Fatalf("day status = %d", status)
 	}
-	if day.Day != 1 || len(day.Figures) != len(figureQueries) {
-		t.Fatalf("day payload: day=%d figures=%d want %d", day.Day, len(day.Figures), len(figureQueries))
+	if day.Day != 1 || len(day.Figures) != len(core.DayFigures) {
+		t.Fatalf("day payload: day=%d figures=%d want %d", day.Day, len(day.Figures), len(core.DayFigures))
 	}
 	a := s.Store().Current().Analysis
 	want := a.Figure4PBSShare().Day(1)
@@ -317,7 +394,7 @@ func TestServeReadyzAndHealthz(t *testing.T) {
 func TestServeArtifactOnlyDirServesDownloadsWithoutIndex(t *testing.T) {
 	a, _ := fixture(t)
 	dir := t.TempDir()
-	if err := report.WriteAllContext(context.Background(), a, dir); err != nil {
+	if err := report.WriteAllExtraContext(context.Background(), a, dir); err != nil {
 		t.Fatal(err)
 	}
 	s := NewServer(Config{DataDir: dir})

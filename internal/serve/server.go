@@ -9,11 +9,14 @@ import (
 	"net"
 	"net/http"
 	"path"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"github.com/ethpbs/pbslab/internal/core"
 )
 
 // Config tunes the daemon. The zero value is usable: every limit falls back
@@ -174,7 +177,7 @@ func (s *Server) buildHandler() http.Handler {
 	mux.HandleFunc("GET /api/v1/day/{day}", s.handleDay)
 	var reload http.Handler = http.HandlerFunc(s.handleReload)
 	if len(s.cfg.AdminSecret) > 0 {
-		auth := NewAuthenticator(s.cfg.AdminSecret, 0)
+		auth := NewAuthenticator(s.cfg.AdminSecret)
 		reload = auth.Middleware(reload)
 	}
 	mux.Handle("POST /admin/reload", reload)
@@ -484,20 +487,21 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := r.PathValue("key")
-	q := figureQueryByKey(key)
-	if q == nil {
+	i := slices.IndexFunc(core.DayFigures, func(f core.DayFigure) bool { return f.Key == key })
+	if i < 0 {
 		writeJSON(w, http.StatusNotFound, map[string]any{"error": "unknown figure", "key": key})
 		return
 	}
+	f := core.DayFigures[i]
 	s.serveCachedJSON(w, r, snap, "figure/"+key, func() (any, error) {
-		series := q.Series(snap.Analysis)
+		series := f.Series(snap.Analysis)
 		out := make(map[string]seriesJSON, len(series))
 		for name, ser := range series {
 			out[name] = toSeriesJSON(ser)
 		}
 		return map[string]any{
-			"key":        q.Key,
-			"title":      q.Title,
+			"key":        f.Key,
+			"title":      f.Title,
 			"generation": snap.Generation,
 			"series":     out,
 		}, nil
@@ -525,14 +529,14 @@ func (s *Server) handleDay(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.serveCachedJSON(w, r, snap, "day/"+strconv.Itoa(day), func() (any, error) {
-		figures := make(map[string]map[string]*float64, len(figureQueries))
-		for _, q := range figureQueries {
-			series := q.Series(snap.Analysis)
+		figures := make(map[string]map[string]*float64, len(core.DayFigures))
+		for _, f := range core.DayFigures {
+			series := f.Series(snap.Analysis)
 			vals := make(map[string]*float64, len(series))
 			for name, ser := range series {
 				vals[name] = pointJSON(ser, day)
 			}
-			figures[q.Key] = vals
+			figures[f.Key] = vals
 		}
 		return map[string]any{
 			"day":        day,

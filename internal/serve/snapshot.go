@@ -133,10 +133,15 @@ type LoadOptions struct {
 //     day of blocks at a time.
 //
 // A directory that still ships the retired single-blob dataset.gob is
-// refused outright, rather than served without index queries. Any failure
-// returns an error and no snapshot; the caller keeps serving whatever it
-// served before.
+// refused outright, rather than served without index queries. ctx is
+// checked before rung 1 and again before rung 3: a load whose caller has
+// already gone hashes nothing, and one whose caller leaves during
+// verification decodes no day segment. Any failure returns an error and no snapshot; the caller keeps serving
+// whatever it served before.
 func Load(ctx context.Context, dir string, opts LoadOptions) (*Snapshot, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("serve: load %s: %w", dir, err)
+	}
 	problems, err := report.VerifyDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("serve: verify %s: %w", dir, err)
@@ -206,6 +211,9 @@ func Load(ctx context.Context, dir string, opts LoadOptions) (*Snapshot, error) 
 	if _, ok := snap.lazy[dsio.IndexName]; ok {
 		// Stream the validation and the analysis build so the daemon's
 		// resident set stays bounded by one day of blocks.
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("serve: load %s: %w", dir, err)
+		}
 		r, err := dsio.Open(dir)
 		if err != nil {
 			return nil, fmt.Errorf("serve: open chunked corpus: %w", err)
@@ -235,9 +243,9 @@ func Load(ctx context.Context, dir string, opts LoadOptions) (*Snapshot, error) 
 	}
 	sort.Strings(snap.names)
 	if snap.HasDataset() {
-		snap.figureItems = make([]figureItem, len(figureQueries))
-		for i, q := range figureQueries {
-			snap.figureItems[i] = figureItem{Key: q.Key, Title: q.Title}
+		snap.figureItems = make([]figureItem, len(core.DayFigures))
+		for i, f := range core.DayFigures {
+			snap.figureItems[i] = figureItem{Key: f.Key, Title: f.Title}
 		}
 	} else {
 		snap.figureItems = []figureItem{}

@@ -109,7 +109,7 @@ func digestOf(t *testing.T, res *Result, withArtifacts bool) (outputDigest, stri
 		if err != nil {
 			t.Fatalf("analysis: %v", err)
 		}
-		arts := report.RenderAll(a, 1)
+		arts := report.RenderAll(context.Background(), a, 1)
 		names, data = make([]string, len(arts)), make([][]byte, len(arts))
 		for i, art := range arts {
 			if art.Err != nil {
